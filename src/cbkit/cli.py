@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .ordinal import (
@@ -42,6 +43,7 @@ from .space import (
 )
 from .realize import (
     DEFAULT_CONFIG,
+    SCHEDULE_BASES,
     RealizationConfig,
     TreeInvariantError,
     load_forest,
@@ -132,24 +134,13 @@ def _cmd_space(args: argparse.Namespace) -> int:
 
 def _config_from_args(args: argparse.Namespace) -> RealizationConfig:
     cfg = parse_config_file(args.config) if args.config else DEFAULT_CONFIG
-    overrides = {}
-    if args.children is not None:
-        overrides["children_per_node"] = args.children
-    if args.depth is not None:
-        overrides["max_depth"] = args.depth
-    if getattr(args, "schedule", None) is not None:
-        overrides["radius_schedule"] = args.schedule
-    if getattr(args, "side", None) is not None:
-        overrides["side_rule"] = args.side
-    if overrides:
-        cfg = RealizationConfig(
-            children_per_node=overrides.get("children_per_node", cfg.children_per_node),
-            radius_schedule=overrides.get("radius_schedule", cfg.radius_schedule),
-            side_rule=overrides.get("side_rule", cfg.side_rule),
-            ambient=cfg.ambient,
-            max_depth=overrides.get("max_depth", cfg.max_depth),
-        )
-    return cfg
+    flags = {
+        "children_per_node": args.children,
+        "max_depth": args.depth,
+        "radius_schedule": args.schedule,
+        "side_rule": args.side,
+    }
+    return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _cmd_realize(args: argparse.Namespace) -> int:
@@ -212,7 +203,7 @@ def _verify_file(path: Path, cfg: RealizationConfig, strict: bool, stage_cap: in
     char_pruned = None
     if all(t.rank.is_finite for t in forest):
         try:
-            char_pruned = char_by_pruning(forest, cfg, stage_cap=stage_cap)
+            char_pruned = char_by_pruning(forest, stage_cap=stage_cap)
         except (StageBudgetError, TreeInvariantError) as exc:
             failures.append(f"pruning: {exc}")
         if char_pruned is not None and char_expected is not None and char_pruned != char_expected:
@@ -280,7 +271,7 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="key = value realization config file")
     sub.add_argument("-m", "--children", type=int, help="materialized children per node")
     sub.add_argument("--depth", type=int, help="realization depth budget")
-    sub.add_argument("--schedule", choices=("binary", "thirds"), help="radius schedule")
+    sub.add_argument("--schedule", choices=tuple(SCHEDULE_BASES), help="radius schedule")
     sub.add_argument("--side", choices=("right", "left"), help="child placement side")
 
 

@@ -20,16 +20,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .ordinal import ONE, ZERO, Ordinal, add
+from .ordinal import ONE, ZERO, Ordinal, left_sub
 from .space import CbChar, EMPTY_CLASS, union_char
 from .realize import (
     DEFAULT_CONFIG,
     ClusterTree,
     RealizationConfig,
     TreeInvariantError,
+    _child_path,
     fraction_to_text,
     generator_for,
     child_rank,
@@ -87,32 +87,16 @@ def _as_forest(trees: ClusterTree | Iterable[ClusterTree]) -> tuple[ClusterTree,
 
 # Keyed by object identity; the stored reference keeps the key alive, so
 # ids cannot be recycled under a live entry.
-_PRUNE_CACHE: dict[tuple[int, RealizationConfig], tuple[ClusterTree, ClusterTree | None]] = {}
+_PRUNE_CACHE: dict[int, tuple[ClusterTree, ClusterTree | None]] = {}
 
 
 def clear_prune_cache() -> None:
     _PRUNE_CACHE.clear()
 
 
-@lru_cache(maxsize=None)
-def _promise_prune_rank(rank: Ordinal) -> Ordinal:
-    """Rank of a pruned, still unexpanded promise node of the given rank >= 1.
-
-    A promise probes its first ideal child, which is again a bare promise, so
-    the outcome depends only on the rank: limits keep it (their approximants
-    never die all at once), successors drop one level per pass.
-    """
-    if rank.is_successor:
-        below = rank.pred()
-        if below.is_zero:
-            return ZERO
-        return add(_promise_prune_rank(below), ONE)
-    return rank
-
-
-def prune(tree: ClusterTree, cfg: RealizationConfig = DEFAULT_CONFIG) -> ClusterTree | None:
+def prune(tree: ClusterTree) -> ClusterTree | None:
     """One derivative pass: None when the whole subtree is isolated points."""
-    key = (id(tree), cfg)
+    key = id(tree)
     hit = _PRUNE_CACHE.get(key)
     if hit is not None and hit[0] is tree:
         return hit[1]
@@ -122,8 +106,10 @@ def prune(tree: ClusterTree, cfg: RealizationConfig = DEFAULT_CONFIG) -> Cluster
         result = None
     elif tree.tail is None:
         raise TreeInvariantError("interior node without a tail rule")
+    elif tree.rank.is_zero or tree.tail.generator != generator_for(tree.rank):
+        raise TreeInvariantError("tail generator disagrees with rank")
     else:
-        kept = tuple(p for p in (prune(c, cfg) for c in tree.children) if p is not None)
+        kept = tuple(p for p in (prune(c) for c in tree.children) if p is not None)
         probe_rank = child_rank(tree.rank, tree.tail.generator, tree.tail.next_index)
         if probe_rank.is_zero:
             if kept:
@@ -132,36 +118,26 @@ def prune(tree: ClusterTree, cfg: RealizationConfig = DEFAULT_CONFIG) -> Cluster
             # now isolated itself
             result = ClusterTree(tree.center, tree.radius, ZERO)
         else:
-            new_rank = (
-                tree.rank
-                if tree.tail.generator == "limit"
-                else add(_promise_prune_rank(probe_rank), ONE)
-            )
-            result = replace(tree, rank=new_rank, children=kept)
+            # one derivative drops a finite rank by one and fixes an
+            # infinite one: the unique g with 1 + g = rank
+            result = replace(tree, rank=left_sub(ONE, tree.rank), children=kept)
 
     _PRUNE_CACHE[key] = (tree, result)
     return result
 
 
-def prune_forest(
-    forest: ClusterTree | Iterable[ClusterTree],
-    cfg: RealizationConfig = DEFAULT_CONFIG,
-) -> tuple[ClusterTree, ...]:
-    return tuple(p for p in (prune(t, cfg) for t in _as_forest(forest)) if p is not None)
+def prune_forest(forest: ClusterTree | Iterable[ClusterTree]) -> tuple[ClusterTree, ...]:
+    return tuple(p for p in (prune(t) for t in _as_forest(forest)) if p is not None)
 
 
-def prune_steps(
-    tree: ClusterTree,
-    k: int,
-    cfg: RealizationConfig = DEFAULT_CONFIG,
-) -> ClusterTree | None:
+def prune_steps(tree: ClusterTree, k: int) -> ClusterTree | None:
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise ValueError("k must be an integer >= 0")
     current: ClusterTree | None = tree
     for _ in range(k):
         if current is None:
             return None
-        current = prune(current, cfg)
+        current = prune(current)
     return current
 
 
@@ -183,7 +159,7 @@ class PruneReport:
 
 def prune_trace(
     forest: ClusterTree | Iterable[ClusterTree],
-    cfg: RealizationConfig = DEFAULT_CONFIG,
+    *,
     max_stages: int = 32,
 ) -> list[PruneReport]:
     """Node counts along successive passes, until empty or out of budget."""
@@ -193,7 +169,7 @@ def prune_trace(
         if not current:
             break
         before = count_nodes(current)
-        current = prune_forest(current, cfg)
+        current = prune_forest(current)
         after = count_nodes(current)
         finite = not any(has_tail(t) for t in current)
         reports.append(PruneReport(stage, before - after, after, finite))
@@ -202,7 +178,7 @@ def prune_trace(
 
 def char_by_pruning(
     forest: ClusterTree | Iterable[ClusterTree],
-    cfg: RealizationConfig = DEFAULT_CONFIG,
+    *,
     stage_cap: int = 32,
 ) -> CbChar:
     """Characteristic read off by pruning alone, ignoring annotations.
@@ -224,7 +200,7 @@ def char_by_pruning(
             return CbChar(Ordinal.from_int(stage), survivors)
         if stage >= stage_cap:
             raise StageBudgetError(f"no finite stage within {stage_cap} passes")
-        current = prune_forest(current, cfg)
+        current = prune_forest(current)
         stage += 1
 
 
@@ -333,10 +309,6 @@ def geometry_check(tree: ClusterTree) -> GeometryReport:
     )
 
 
-def _child_path(parent: str, index: int) -> str:
-    return ("" if parent == "/" else parent) + f"/{index}"
-
-
 def _surviving_centers(tree: ClusterTree | None) -> set[Fraction]:
     if tree is None:
         return set()
@@ -372,8 +344,8 @@ def restriction_check(
 
     left: set[Fraction] = set()
     for k in range(n + 1):
-        left |= _surviving_centers(prune_steps(tree.children[k], beta, cfg))
-    whole = _surviving_centers(prune_steps(tree, beta, cfg))
+        left |= _surviving_centers(prune_steps(tree.children[k], beta))
+    whole = _surviving_centers(prune_steps(tree, beta))
     right = {p for p in whole if abs(p - z) >= bound}
     return left == right
 

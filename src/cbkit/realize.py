@@ -22,14 +22,14 @@ import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .ordinal import Ordinal, ZERO, format_ordinal, fundamental_seq, parse_ordinal
 
 __all__ = [
     "SUCCESSOR",
     "LIMIT",
-    "RADIUS_SCHEDULES",
+    "SCHEDULE_BASES",
     "InvalidRadiusError",
     "TreeInvariantError",
     "RealizationConfig",
@@ -72,15 +72,10 @@ class TreeInvariantError(ValueError):
 SUCCESSOR = "successor"
 LIMIT = "limit"
 
-RADIUS_SCHEDULES: dict[str, Callable[[Fraction, int], Fraction]] = {
-    "binary": lambda r, n: r / 2 ** (n + 1),
-    "thirds": lambda r, n: r / 3 ** (n + 1),
-}
-
-_SCHEDULE_BASES = {"binary": 2, "thirds": 3}
+# radius schedule name -> base b: child n sits at offset r / b^(n+1)
+SCHEDULE_BASES = {"binary": 2, "thirds": 3}
 
 _SIDE_SIGNS = {"right": 1, "left": -1}
-_AMBIENTS = ("rational-line",)
 
 
 @dataclass(frozen=True)
@@ -90,7 +85,6 @@ class RealizationConfig:
     children_per_node: int = 4
     radius_schedule: str = "binary"
     side_rule: str = "right"
-    ambient: str = "rational-line"
     max_depth: int = 6
 
     def __post_init__(self) -> None:
@@ -100,12 +94,10 @@ class RealizationConfig:
             or self.children_per_node < 2
         ):
             raise ValueError("children_per_node must be an integer >= 2")
-        if self.radius_schedule not in RADIUS_SCHEDULES:
+        if self.radius_schedule not in SCHEDULE_BASES:
             raise ValueError(f"unknown radius schedule: {self.radius_schedule!r}")
         if self.side_rule not in _SIDE_SIGNS:
             raise ValueError(f"unknown side rule: {self.side_rule!r}")
-        if self.ambient not in _AMBIENTS:
-            raise ValueError(f"unknown ambient: {self.ambient!r}")
         if not isinstance(self.max_depth, int) or isinstance(self.max_depth, bool) or self.max_depth < 0:
             raise ValueError("max_depth must be an integer >= 0")
 
@@ -160,9 +152,7 @@ def _child_path(parent: str, index: int) -> str:
 def scheduled_radius(cfg: RealizationConfig, r: Fraction, n: int) -> Fraction:
     if not isinstance(r, Fraction):
         r = Fraction(r)
-    base = _SCHEDULE_BASES.get(cfg.radius_schedule)
-    if base is None:
-        return RADIUS_SCHEDULES[cfg.radius_schedule](r, n)
+    base = SCHEDULE_BASES[cfg.radius_schedule]
     return Fraction(r.numerator, r.denominator * base ** (n + 1))
 
 
@@ -172,17 +162,10 @@ def child_geometry(cfg: RealizationConfig, z: Fraction, r: Fraction, n: int) -> 
         z = Fraction(z)
     if not isinstance(r, Fraction):
         r = Fraction(r)
-    base = _SCHEDULE_BASES.get(cfg.radius_schedule)
-    if base is None:
-        r_n = scheduled_radius(cfg, r, n)
-        r_prev = r if n == 0 else scheduled_radius(cfg, r, n - 1)
-        r_next = scheduled_radius(cfg, r, n + 1)
-        # half the clearance to the neighbouring offsets keeps the child ball
-        # inside B(z, r_prev) and clear of B(z, r_next)
-        eps = min(r_prev - r_n, r_n - r_next) / 2
-        return z + _SIDE_SIGNS[cfg.side_rule] * r_n, eps
-    # geometric schedules shrink, so the clearance min() is always the gap
-    # toward child n+1: r*(base-1)/base^(n+2), halved
+    base = SCHEDULE_BASES[cfg.radius_schedule]
+    # the child ball takes half the clearance to the neighbouring offsets;
+    # geometric schedules shrink, so that is always the gap toward child
+    # n+1: r*(base-1)/base^(n+2), halved
     step_den = r.denominator * base ** (n + 1)
     x = Fraction(
         z.numerator * step_den + _SIDE_SIGNS[cfg.side_rule] * r.numerator * z.denominator,
@@ -310,23 +293,23 @@ def _collect(node: ClusterTree, path: str, depth: int, depth_budget: int, width_
         _collect(child, _child_path(path, i), depth + 1, depth_budget, width_budget, prov)
 
 
-def materialize(tree: ClusterTree, depth_budget: int, width_budget: int) -> PointCloud:
-    """Centers of all nodes within the given depth and per-node width."""
+def _cloud(roots: Iterable[tuple[str, ClusterTree]], depth_budget: int, width_budget: int) -> PointCloud:
     if depth_budget < 1 or width_budget < 1:
         raise ValueError("budgets must be >= 1")
     prov: dict[Fraction, str] = {}
-    _collect(tree, "/", 0, depth_budget, width_budget, prov)
+    for path, tree in roots:
+        _collect(tree, path, 0, depth_budget, width_budget, prov)
     return PointCloud(tuple(sorted(prov)), prov)
+
+
+def materialize(tree: ClusterTree, depth_budget: int, width_budget: int) -> PointCloud:
+    """Centers of all nodes within the given depth and per-node width."""
+    return _cloud([("/", tree)], depth_budget, width_budget)
 
 
 def materialize_forest(forest: Sequence[ClusterTree], depth_budget: int, width_budget: int) -> PointCloud:
     """Merged cloud of a forest; cluster k is rooted at path /k."""
-    if depth_budget < 1 or width_budget < 1:
-        raise ValueError("budgets must be >= 1")
-    prov: dict[Fraction, str] = {}
-    for k, tree in enumerate(forest):
-        _collect(tree, f"/{k}", 0, depth_budget, width_budget, prov)
-    return PointCloud(tuple(sorted(prov)), prov)
+    return _cloud(((f"/{k}", tree) for k, tree in enumerate(forest)), depth_budget, width_budget)
 
 
 def validate_tree(
@@ -467,7 +450,6 @@ _CONFIG_KEYS = {
     "children_per_node": int,
     "radius_schedule": str,
     "side_rule": str,
-    "ambient": str,
     "max_depth": int,
 }
 

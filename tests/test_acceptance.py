@@ -63,7 +63,7 @@ def test_criterion_1_realization_round_trip():
             forest = grid_forest(text, p)
             assert audit_char(forest, exact=True) == CbChar(alpha, p), (text, p)
             if alpha.is_finite:
-                assert char_by_pruning(forest, DEFAULT_CONFIG) == CbChar(alpha, p)
+                assert char_by_pruning(forest) == CbChar(alpha, p)
     clear_prune_cache()
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
@@ -75,7 +75,7 @@ def test_criterion_2_pruning_matches_calculus():
         rank = Ordinal.from_int(n)
         for p in (1, 2, 3):
             forest = realize_multi(rank, p)
-            assert char_by_pruning(forest, DEFAULT_CONFIG) == CbChar(rank, p), (n, p)
+            assert char_by_pruning(forest) == CbChar(rank, p), (n, p)
     clear_prune_cache()
     print("criterion 2 PASS: 18/18 finite characteristics recovered by pruning")
 
@@ -135,7 +135,7 @@ def test_criterion_5_union_law():
         left = shifted_forest(Ordinal.from_int(a), pa, 0, DEFAULT_CONFIG)
         right = shifted_forest(Ordinal.from_int(b), pb, 10, DEFAULT_CONFIG)
         expected = union_char(CbChar(Ordinal.from_int(a), pa), CbChar(Ordinal.from_int(b), pb))
-        assert char_by_pruning(left + right, DEFAULT_CONFIG) == expected, (a, b, pa, pb)
+        assert char_by_pruning(left + right) == expected, (a, b, pa, pb)
         clear_prune_cache()
     print("criterion 5 PASS: stage-wise x100, disjoint-forest pruning x20")
 

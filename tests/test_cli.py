@@ -197,6 +197,30 @@ def test_verify_corrupted_tree(capsys, tmp_path):
     assert report["failures"]
 
 
+def test_verify_wrong_tail_generator(capsys, tmp_path):
+    out = tmp_path / "t.json"
+    run(capsys, "realize", "4", "--out", str(out))
+    obj = json.loads(out.read_text())
+    obj["children"][1]["tail"]["generator"] = "limit"  # rank 3 needs a successor tail
+    out.write_text(json.dumps(obj))
+    code, report_text, _ = run(capsys, "verify", str(out))
+    report = json.loads(report_text)
+    assert code == 1
+    assert report["ok"] is False
+    assert any(f.startswith("structure[0]: tail generator disagrees") for f in report["failures"])
+    assert any(f.startswith("pruning: tail generator disagrees") for f in report["failures"])
+
+
+def test_verify_large_finite_part(capsys, tmp_path):
+    out = tmp_path / "t.json"
+    assert run(capsys, "realize", "w+500", "--depth", "2", "--out", str(out))[0] == 0
+    code, report_text, _ = run(capsys, "verify", str(out))
+    report = json.loads(report_text)
+    assert code == 0
+    assert report["char_expected"] == {"rank": "w+500", "count": 1}
+    assert report["failures"] == []
+
+
 def test_verify_missing_file(capsys, tmp_path):
     assert run(capsys, "verify", str(tmp_path / "absent.json"))[0] == 2
 

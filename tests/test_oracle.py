@@ -7,6 +7,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
 
 from cbkit.ordinal import OMEGA, ONE, ZERO, Ordinal, parse_ordinal
 from cbkit.realize import (
@@ -19,7 +20,7 @@ from cbkit.realize import (
     realize_multi,
     validate_tree,
 )
-from cbkit.space import CbChar, EMPTY_CLASS, derivative
+from cbkit.space import CbChar, EMPTY_CLASS, derivative, derivative_steps
 from cbkit.oracle import (
     AnnulusIndexError,
     AuditError,
@@ -36,6 +37,7 @@ from cbkit.oracle import (
     prune_trace,
     restriction_check,
 )
+from helpers import st_ordinal
 
 P = parse_ordinal
 F = Fraction
@@ -116,6 +118,29 @@ def test_prune_rejects_tailless_interior():
     bad = ClusterTree(F(0), F(1), ONE, (ClusterTree(F(1, 2), F(1, 8), ZERO),), None)
     with pytest.raises(TreeInvariantError):
         prune(bad)
+
+
+def test_prune_rejects_tail_generator_off_the_rank():
+    t = realize_cluster(0, 1, Ordinal.from_int(4))
+    for bad in (
+        replace(t, tail=TailSpec(4, "limit")),
+        ClusterTree(F(0), F(1), ZERO, (), TailSpec(0, "successor")),
+    ):
+        with pytest.raises(TreeInvariantError, match="tail generator disagrees with rank"):
+            prune(bad)
+
+
+def test_prune_large_finite_part():
+    # one pass per stage, not one call per unit of the finite part
+    t = realize_cluster(0, 1, P("w+5000"), RealizationConfig(max_depth=2))
+    assert prune_steps(t, 3).rank == P("w+5000")
+
+
+@given(st_ordinal.filter(lambda a: not a.is_zero))
+def test_prune_rank_matches_one_derivative(rank):
+    cfg = RealizationConfig(children_per_node=2, max_depth=2)
+    pruned = prune(realize_cluster(0, 1, rank, cfg))
+    assert audit_rank(pruned, exact=False) == derivative_steps(CbChar(rank, 1), ONE).rank
 
 
 def test_prune_trace_counts():

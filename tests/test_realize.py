@@ -140,8 +140,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RealizationConfig(side_rule="up")
     with pytest.raises(ValueError):
-        RealizationConfig(ambient="cantor-space")
-    with pytest.raises(ValueError):
         RealizationConfig(max_depth=-1)
 
 
@@ -345,6 +343,10 @@ def test_parse_config_file(tmp_path):
 
     path.write_text("unknown_key = 1\n")
     with pytest.raises(ValueError):
+        parse_config_file(path)
+
+    path.write_text("ambient = rational-line\n")
+    with pytest.raises(ValueError, match="unknown config key 'ambient'"):
         parse_config_file(path)
 
     path.write_text("children_per_node = many\n")
