@@ -14,13 +14,28 @@ Pruned trees stay annotated: each pass rewrites the rank a node would
 have after one derivative, which keeps later probes honest.  Geometry
 and rank audits are separate lenses over the same trees and share no
 code with pruning beyond the tree type itself.
+
+Results are memoized on the trees themselves, under private keys in the
+instance ``__dict__`` (as ``functools.cached_property`` does on frozen
+dataclasses): a node keeps its one-pass pruning, and restriction checks
+keep each stage's survivor summary on the stage tree.  The memo lives
+and dies with its tree; there is no process-wide cache to clear.  The
+hot loops of the geometry and restriction checks compare Python ints:
+centers scaled by the least common denominator of the tree's centers.
+Realized trees have denominators 2*b^k for the schedule base b, so that
+scale is the largest denominator; for any other tree its bit length is
+at most the total bits of the denominators.  Fractions appear again only
+in a reported counterexample.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import accumulate
+from math import ceil, lcm
+from typing import Iterable
 
 from .ordinal import ONE, ZERO, Ordinal, left_sub
 from .space import CbChar, EMPTY_CLASS, union_char
@@ -44,7 +59,6 @@ __all__ = [
     "prune",
     "prune_forest",
     "prune_steps",
-    "clear_prune_cache",
     "has_tail",
     "count_nodes",
     "PruneReport",
@@ -85,44 +99,58 @@ def _as_forest(trees: ClusterTree | Iterable[ClusterTree]) -> tuple[ClusterTree,
     return forest
 
 
-# Keyed by object identity; the stored reference keeps the key alive, so
-# ids cannot be recycled under a live entry.
-_PRUNE_CACHE: dict[int, tuple[ClusterTree, ClusterTree | None]] = {}
-
-
-def clear_prune_cache() -> None:
-    _PRUNE_CACHE.clear()
+# Keys of the per-tree memos in a ClusterTree's instance __dict__.
+_PRUNED = "_cbkit_pruned"
+_SCALE = "_cbkit_scale"
+_SURVIVORS = "_cbkit_survivors"
+_SORTED = "_cbkit_sorted"
 
 
 def prune(tree: ClusterTree) -> ClusterTree | None:
     """One derivative pass: None when the whole subtree is isolated points."""
-    key = id(tree)
-    hit = _PRUNE_CACHE.get(key)
-    if hit is not None and hit[0] is tree:
-        return hit[1]
+    return _prune(tree, {})
 
-    result: ClusterTree | None
+
+def _prune(tree: ClusterTree, probes: dict[tuple[Ordinal, str, int], tuple[bool, Ordinal]]) -> ClusterTree | None:
+    """prune, with the rank arithmetic of one call shared across its nodes.
+
+    probes maps (rank, generator, next_index) to whether the tail probe
+    has rank zero and the node's rank after one derivative; nodes of one
+    tree repeat few distinct keys.
+    """
+    memo = tree.__dict__
+    if _PRUNED in memo:
+        return memo[_PRUNED]
     if tree.is_leaf:
-        result = None
-    elif tree.tail is None:
+        return None
+    tail = tree.tail
+    if tail is None:
         raise TreeInvariantError("interior node without a tail rule")
-    elif tree.rank.is_zero or tree.tail.generator != generator_for(tree.rank):
-        raise TreeInvariantError("tail generator disagrees with rank")
+    key = (tree.rank, tail.generator, tail.next_index)
+    probe = probes.get(key)
+    if probe is None:
+        if tree.rank.is_zero or tail.generator != generator_for(tree.rank):
+            raise TreeInvariantError("tail generator disagrees with rank")
+        # one derivative drops a finite rank by one and fixes an infinite
+        # one: the unique g with 1 + g = rank
+        probe = probes[key] = (
+            child_rank(tree.rank, tail.generator, tail.next_index).is_zero,
+            left_sub(ONE, tree.rank),
+        )
+    # leaves vanish; every other node yields a tree or raises
+    kept = tuple(
+        [_prune(c, probes) for c in tree.children if c.children or c.tail is not None]
+    )
+    probe_is_zero, pruned_rank = probe
+    if probe_is_zero:
+        if kept:
+            raise TreeInvariantError("materialized children outlive the tail probe")
+        # every ideal child was an isolated point; the center remains,
+        # now isolated itself
+        result = ClusterTree(tree.center, tree.radius, ZERO)
     else:
-        kept = tuple(p for p in (prune(c) for c in tree.children) if p is not None)
-        probe_rank = child_rank(tree.rank, tree.tail.generator, tree.tail.next_index)
-        if probe_rank.is_zero:
-            if kept:
-                raise TreeInvariantError("materialized children outlive the tail probe")
-            # every ideal child was an isolated point; the center remains,
-            # now isolated itself
-            result = ClusterTree(tree.center, tree.radius, ZERO)
-        else:
-            # one derivative drops a finite rank by one and fixes an
-            # infinite one: the unique g with 1 + g = rank
-            result = replace(tree, rank=left_sub(ONE, tree.rank), children=kept)
-
-    _PRUNE_CACHE[key] = (tree, result)
+        result = ClusterTree(tree.center, tree.radius, pruned_rank, kept, tail)
+    memo[_PRUNED] = result
     return result
 
 
@@ -244,13 +272,31 @@ class GeometryReport:
         }
 
 
-def _dist_range(points: set[Fraction], lo: Fraction, hi: Fraction, z: Fraction) -> tuple[Fraction, Fraction]:
-    if z <= lo:
-        return lo - z, hi - z
-    if z >= hi:
-        return z - hi, z - lo
-    # center inside the hull: only the maximum is interval-determined
-    return min(abs(p - z) for p in points), max(hi - z, z - lo)
+def _centers(tree: ClusterTree) -> list[Fraction]:
+    """Every center of the tree, in no particular order."""
+    centers = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        centers.append(node.center)
+        stack.extend(node.children)
+    return centers
+
+
+def _scale(tree: ClusterTree) -> int:
+    """Least common denominator of the tree's centers, memoized on the tree."""
+    memo = tree.__dict__
+    if _SCALE not in memo:
+        scale = 1
+        for q in _centers(tree):
+            if scale % q.denominator:
+                scale = lcm(scale, q.denominator)
+        memo[_SCALE] = scale
+    return memo[_SCALE]
+
+
+def _scaled(q: Fraction, scale: int) -> int:
+    return q.numerator * (scale // q.denominator)
 
 
 def geometry_check(tree: ClusterTree) -> GeometryReport:
@@ -260,59 +306,159 @@ def geometry_check(tree: ClusterTree) -> GeometryReport:
     midpoint sphere must cut the subtree in two: outer children entirely
     outside it, inner children and later ones entirely inside, and no
     point of the whole cluster on the sphere itself.
+
+    Violations are ordered by node in post-order, then annulus, then
+    claim; the first one is the reported counterexample.  Coordinates
+    are centers scaled by twice their common denominator, so every
+    midpoint bound is an integer as well.
     """
-    violations: list[AnnulusCheck] = []
+    scale = 2 * _scale(tree)
+    # preorder, with each node's parent index (-1 at the root) and slot
+    nodes: list[ClusterTree] = []
+    parent: list[int] = []
+    slot: list[int] = []
+    depth: list[int] = []
+    stack = [(tree, -1, 0)]
+    while stack:
+        node, up, k = stack.pop()
+        index = len(nodes)
+        nodes.append(node)
+        parent.append(up)
+        slot.append(k)
+        depth.append(depth[up] + 1 if up >= 0 else 0)
+        kids = node.children
+        stack.extend((kids[j], index, j) for j in range(len(kids) - 1, -1, -1))
+    vals = [_scaled(node.center, scale) for node in nodes]
+
+    # subtree i is the preorder slice [i, end[i]); lo/hi are its hull
+    lo, hi = vals[:], vals[:]
+    end = list(range(1, len(nodes) + 1))
+    for i in range(len(nodes) - 1, 0, -1):
+        up = parent[i]
+        if lo[i] < lo[up]:
+            lo[up] = lo[i]
+        if hi[i] > hi[up]:
+            hi[up] = hi[i]
+        if end[i] > end[up]:
+            end[up] = end[i]
+    where: dict[int, list[int]] = {}
+    for i, v in enumerate(vals):
+        if v in where:
+            where[v].append(i)
+        else:
+            where[v] = [i]
+
+    def on_sphere(i: int, z: int, bound: int) -> int | None:
+        for candidate in (z - bound, z + bound) if bound else (z,):
+            at = where.get(candidate)
+            if at is not None:
+                j = bisect_left(at, i)
+                if j < len(at) and at[j] < end[i]:
+                    return candidate
+        return None
+
     annuli = 0
-
-    def visit(node: ClusterTree, path: str) -> tuple[set[Fraction], Fraction, Fraction]:
-        nonlocal annuli
-        stats = [visit(c, _child_path(path, i)) for i, c in enumerate(node.children)]
-        points: set[Fraction] = {node.center}
-        lo = hi = node.center
-        for pts, plo, phi in stats:
-            points |= pts
-            lo, hi = min(lo, plo), max(hi, phi)
-
-        z = node.center
+    claim_ok = {1: True, 2: True, 3: True}
+    # (post-order position, node, annulus, claim, child or point, bound)
+    first: tuple[int, int, int, int, int, int] | None = None
+    for i, node in enumerate(nodes):
         m = len(node.children)
-        dist = [abs(c.center - z) for c in node.children]
+        if m < 2:
+            continue
+        annuli += m - 1
+        kids = [i + 1]
+        for _ in range(m - 1):
+            kids.append(end[kids[-1]])
+        z = vals[i]
+        dist = [abs(vals[c] - z) for c in kids]
+        dmin: list[int] = []
+        dmax: list[int] = []
+        for c in kids:
+            if z <= lo[c]:
+                dmin.append(lo[c] - z)
+                dmax.append(hi[c] - z)
+            elif z >= hi[c]:
+                dmin.append(z - hi[c])
+                dmax.append(z - lo[c])
+            else:
+                # center inside the hull: only the maximum is interval-determined
+                dmin.append(min(abs(v - z) for v in vals[c : end[c]]))
+                dmax.append(max(hi[c] - z, z - lo[c]))
+        inner = list(accumulate(dmin, min))  # inner[n]: min over children 0..n
+        outer = list(accumulate(reversed(dmax), max))[::-1]  # outer[k]: max over k..m-1
+        post = end[i] - 1 - depth[i]
+        reported = first is not None and first[0] < post
         for n in range(m - 1):
-            annuli += 1
-            bound = (dist[n] + dist[n + 1]) / 2
-            for k in range(n + 1):
-                dmin, _ = _dist_range(stats[k][0], stats[k][1], stats[k][2], z)
-                if dmin < bound:
-                    point = min(p for p in stats[k][0] if abs(p - z) < bound)
-                    violations.append(AnnulusCheck(path, n, 1, point, bound))
-                    break
-            for k in range(n + 1, m):
-                _, dmax = _dist_range(stats[k][0], stats[k][1], stats[k][2], z)
-                if dmax >= bound:
-                    point = min(p for p in stats[k][0] if abs(p - z) >= bound)
-                    violations.append(AnnulusCheck(path, n, 2, point, bound))
-                    break
-            for candidate in sorted({z - bound, z + bound}):
-                if candidate in points:
-                    violations.append(AnnulusCheck(path, n, 3, candidate, bound))
-                    break
-        return points, lo, hi
+            bound = (dist[n] + dist[n + 1]) // 2
+            near = inner[n] < bound
+            far = outer[n + 1] >= bound
+            point = on_sphere(i, z, bound)
+            if not (near or far or point is not None):
+                continue
+            claim_ok[1] = claim_ok[1] and not near
+            claim_ok[2] = claim_ok[2] and not far
+            claim_ok[3] = claim_ok[3] and point is None
+            if reported:
+                continue
+            reported = True
+            if near:
+                k = next(k for k in range(n + 1) if dmin[k] < bound)
+                first = (post, i, n, 1, kids[k], bound)
+            elif far:
+                k = next(k for k in range(n + 1, m) if dmax[k] >= bound)
+                first = (post, i, n, 2, kids[k], bound)
+            else:
+                first = (post, i, n, 3, point, bound)
 
-    visit(tree, "/")
-    claim_ok = {c: all(v.claim != c for v in violations) for c in (1, 2, 3)}
+    counterexample = None
+    if first is not None:
+        _, i, n, claim, found, bound = first
+        z = vals[i]
+        if claim == 3:
+            point = found
+        else:
+            inside = claim == 1
+            point = min(v for v in vals[found : end[found]] if (abs(v - z) < bound) == inside)
+        steps = []
+        while parent[i] >= 0:
+            steps.append(f"/{slot[i]}")
+            i = parent[i]
+        path = "".join(reversed(steps)) or "/"
+        counterexample = AnnulusCheck(path, n, claim, Fraction(point, scale), Fraction(bound, scale))
     return GeometryReport(
-        ok=not violations,
+        ok=first is None,
         annuli=annuli,
         claim1_ok=claim_ok[1],
         claim2_ok=claim_ok[2],
         claim3_ok=claim_ok[3],
-        counterexample=violations[0] if violations else None,
+        counterexample=counterexample,
     )
 
 
-def _surviving_centers(tree: ClusterTree | None) -> set[Fraction]:
-    if tree is None:
-        return set()
-    return tree.centers()
+def _survivors(stage: ClusterTree | None, scale: int) -> frozenset[int]:
+    """Scaled centers of a stage tree, memoized on it with their scale."""
+    if stage is None:
+        return frozenset()
+    hit = stage.__dict__.get(_SURVIVORS)
+    if hit is None or hit[0] != scale:
+        points = frozenset([_scaled(q, scale) for q in _centers(stage)])
+        hit = stage.__dict__[_SURVIVORS] = (scale, points)
+    return hit[1]
+
+
+def _sorted_survivors(stage: ClusterTree | None, scale: int) -> list[int]:
+    """Scaled centers of a whole stage tree in increasing order, memoized on it.
+
+    The stage's children are the children's own stage trees, so their
+    survivor sets are usually memoized already.
+    """
+    if stage is None:
+        return []
+    hit = stage.__dict__.get(_SORTED)
+    if hit is None or hit[0] != scale:
+        points = {_scaled(stage.center, scale)}.union(*(_survivors(c, scale) for c in stage.children))
+        hit = stage.__dict__[_SORTED] = (scale, sorted(points))
+    return hit[1]
 
 
 def restriction_check(
@@ -327,6 +473,10 @@ def restriction_check(
     child shells n and n+1 must equal the union of the beta-times-pruned
     child subtrees 0..n on their own.  The sphere past the last
     materialized child is placed against the scheduled next shell.
+
+    Each stage tree keeps its survivors as scaled integers, so the cases
+    of one tree share one summary per stage: a case is two bisects into
+    the whole stage's sorted survivors plus a set comparison.
     """
     m = len(tree.children)
     if not isinstance(n, int) or isinstance(n, bool) or not 0 <= n < m:
@@ -342,12 +492,24 @@ def restriction_check(
     )
     bound = (d_n + d_next) / 2
 
-    left: set[Fraction] = set()
-    for k in range(n + 1):
-        left |= _surviving_centers(prune_steps(tree.children[k], beta))
-    whole = _surviving_centers(prune_steps(tree, beta))
-    right = {p for p in whole if abs(p - z) >= bound}
-    return left == right
+    inner = [prune_steps(tree.children[k], beta) for k in range(n + 1)]
+    whole = prune_steps(tree, beta)
+    scale = _scale(tree)
+    left: set[int] = set()
+    for stage in inner:
+        left |= _survivors(stage, scale)
+    # the points at distance >= bound from z: scaled points are integers,
+    # so that is a prefix up to z - t and a suffix from z + t, with t the
+    # ceiling of the scaled bound
+    points = _sorted_survivors(whole, scale)
+    z_scaled, t = _scaled(z, scale), ceil(bound * scale)
+    below = bisect_right(points, z_scaled - t)
+    above = max(below, bisect_left(points, z_scaled + t))
+    return (
+        len(left) == below + len(points) - above
+        and left.issuperset(points[:below])
+        and left.issuperset(points[above:])
+    )
 
 
 def audit_rank(tree: ClusterTree, exact: bool = True, _path: str = "/") -> Ordinal:

@@ -36,6 +36,7 @@ __all__ = [
     "left_sub",
     "fundamental_seq",
     "parse_ordinal",
+    "MAX_EXPONENT_NESTING",
     "format_ordinal",
 ]
 
@@ -304,11 +305,18 @@ ONE = Ordinal(((ZERO, 1),))
 OMEGA = Ordinal(((ONE, 1),))
 
 
+# Deepest exponent nesting the parser accepts.  Comparison, formatting and
+# the parser itself recurse once per level, so the input must not set the
+# recursion depth.
+MAX_EXPONENT_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str, strict: bool) -> None:
         self.text = text
         self.strict = strict
         self.pos = 0
+        self.nesting = 0
 
     def _error(self, message: str) -> None:
         raise OrdinalParseError(message, self.pos)
@@ -345,7 +353,11 @@ class _Parser:
             if self._peek() == "^":
                 self.pos += 1
                 self._expect("(")
+                if self.nesting == MAX_EXPONENT_NESTING:
+                    self._error(f"exponents nested deeper than {MAX_EXPONENT_NESTING}")
+                self.nesting += 1
                 exponent = self._expr()
+                self.nesting -= 1
                 self._expect(")")
             coefficient = 1
             if self._peek() == "*":

@@ -400,12 +400,22 @@ def tree_to_obj(tree: ClusterTree) -> dict:
 
 
 def tree_from_obj(obj: dict, strict: bool = False) -> ClusterTree:
+    return _tree_from_obj(obj, strict, {})
+
+
+def _tree_from_obj(obj: dict, strict: bool, ranks: dict[str, Ordinal]) -> ClusterTree:
+    """tree_from_obj, parsing each distinct rank text once per load.
+
+    ranks maps rank text to its value; one load shares it, and strict is
+    fixed for that load.
+    """
     if not isinstance(obj, dict):
         raise ValueError("cluster tree must be a JSON object")
     missing = {"center", "radius", "rank", "children", "tail"} - obj.keys()
     if missing:
         raise ValueError(f"cluster tree object lacks {sorted(missing)}")
-    if not isinstance(obj["rank"], str):
+    text = obj["rank"]
+    if not isinstance(text, str):
         raise ValueError("rank must be ordinal text")
     if not isinstance(obj["children"], list):
         raise ValueError("children must be a list")
@@ -415,11 +425,16 @@ def tree_from_obj(obj: dict, strict: bool = False) -> ClusterTree:
         if not isinstance(spec, dict) or {"next_index", "generator"} - spec.keys():
             raise ValueError("tail must carry next_index and generator")
         tail = TailSpec(spec["next_index"], spec["generator"])
+    center = fraction_from_text(obj["center"])
+    radius = fraction_from_text(obj["radius"])
+    rank = ranks.get(text)
+    if rank is None:
+        rank = ranks[text] = parse_ordinal(text, strict=strict)
     return ClusterTree(
-        fraction_from_text(obj["center"]),
-        fraction_from_text(obj["radius"]),
-        parse_ordinal(obj["rank"], strict=strict),
-        tuple(tree_from_obj(child, strict) for child in obj["children"]),
+        center,
+        radius,
+        rank,
+        tuple(_tree_from_obj(child, strict, ranks) for child in obj["children"]),
         tail,
     )
 
@@ -441,9 +456,10 @@ def dump_forest(forest: Sequence[ClusterTree], path: str | Path) -> None:
 
 def load_forest(path: str | Path, strict: bool = False) -> tuple[ClusterTree, ...]:
     data = json.loads(Path(path).read_text())
+    ranks: dict[str, Ordinal] = {}
     if isinstance(data, list):
-        return tuple(tree_from_obj(obj, strict) for obj in data)
-    return (tree_from_obj(data, strict),)
+        return tuple(_tree_from_obj(obj, strict, ranks) for obj in data)
+    return (_tree_from_obj(data, strict, ranks),)
 
 
 _CONFIG_KEYS = {

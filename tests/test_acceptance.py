@@ -38,7 +38,7 @@ from cbkit import (
     union_char,
     DEFAULT_CONFIG,
 )
-from cbkit.oracle import clear_prune_cache, count_nodes
+from cbkit.oracle import count_nodes
 
 from helpers import random_char, random_cnf, shifted_forest, stagewise_union
 
@@ -64,7 +64,6 @@ def test_criterion_1_realization_round_trip():
             assert audit_char(forest, exact=True) == CbChar(alpha, p), (text, p)
             if alpha.is_finite:
                 assert char_by_pruning(forest) == CbChar(alpha, p)
-    clear_prune_cache()
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
     print(f"criterion 1 PASS: 40/40 grid realizations round-trip in {elapsed:.2f}s")
@@ -76,7 +75,6 @@ def test_criterion_2_pruning_matches_calculus():
         for p in (1, 2, 3):
             forest = realize_multi(rank, p)
             assert char_by_pruning(forest) == CbChar(rank, p), (n, p)
-    clear_prune_cache()
     print("criterion 2 PASS: 18/18 finite characteristics recovered by pruning")
 
 
@@ -136,7 +134,6 @@ def test_criterion_5_union_law():
         right = shifted_forest(Ordinal.from_int(b), pb, 10, DEFAULT_CONFIG)
         expected = union_char(CbChar(Ordinal.from_int(a), pa), CbChar(Ordinal.from_int(b), pb))
         assert char_by_pruning(left + right) == expected, (a, b, pa, pb)
-        clear_prune_cache()
     print("criterion 5 PASS: stage-wise x100, disjoint-forest pruning x20")
 
 
@@ -154,7 +151,6 @@ def test_criterion_6_restriction_identity():
                             beta,
                         )
                         checked += 1
-            clear_prune_cache()
     # every tree of positive rank has four children, hence 16 combinations
     assert checked == 9 * (1 + 2 + 3 + 4) * 16
     print(f"criterion 6 PASS: restriction identity on {checked} (tree, annulus, stage) cases")

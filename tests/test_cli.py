@@ -56,6 +56,15 @@ def test_ord_parse_error(capsys):
     assert "position" in err
 
 
+DEEP_RANK = "w^(" * 1000 + "1" + ")" * 1000
+
+
+def test_ord_deep_nesting_exits_2(capsys):
+    code, out, err = run(capsys, "ord", "cmp", DEEP_RANK, "w")
+    assert (code, out) == (2, "")
+    assert "nested deeper" in err
+
+
 def test_ord_fs_not_limit(capsys):
     code, _, err = run(capsys, "ord", "fs", "w+1", "3")
     assert code == 3
@@ -219,6 +228,15 @@ def test_verify_large_finite_part(capsys, tmp_path):
     assert code == 0
     assert report["char_expected"] == {"rank": "w+500", "count": 1}
     assert report["failures"] == []
+
+
+def test_verify_deep_nesting_rank_exits_2(capsys, tmp_path):
+    out = tmp_path / "t.json"
+    leaf = {"center": "0/1", "radius": "1/2", "rank": DEEP_RANK, "children": [], "tail": None}
+    out.write_text(json.dumps(leaf))
+    code, report_text, err = run(capsys, "verify", str(out))
+    assert (code, report_text) == (2, "")
+    assert "nested deeper" in err
 
 
 def test_verify_missing_file(capsys, tmp_path):

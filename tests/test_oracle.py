@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -9,6 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
+from cbkit import oracle
 from cbkit.ordinal import OMEGA, ONE, ZERO, Ordinal, parse_ordinal
 from cbkit.realize import (
     DEFAULT_CONFIG,
@@ -18,6 +21,7 @@ from cbkit.realize import (
     TreeInvariantError,
     realize_cluster,
     realize_multi,
+    tree_to_obj,
     validate_tree,
 )
 from cbkit.space import CbChar, EMPTY_CLASS, derivative, derivative_steps
@@ -93,6 +97,44 @@ def test_prune_steps_compose():
 def test_prune_is_memoized():
     t = realize_cluster(0, 1, Ordinal.from_int(2))
     assert prune(t) is prune(t)
+
+
+def test_oracle_keeps_no_module_level_cache():
+    assert not hasattr(oracle, "_PRUNE_CACHE")
+    assert not hasattr(oracle, "clear_prune_cache")
+    mutable = {
+        name
+        for name, value in vars(oracle).items()
+        if not name.startswith("__") and isinstance(value, (dict, list, set))
+    }
+    assert mutable == set()
+
+
+def test_prune_memo_dies_with_its_tree():
+    t = realize_multi(parse_ordinal("w+2"), 1, RealizationConfig(max_depth=3))[0]
+    stages = [prune_steps(t, k) for k in range(1, 4)]
+    restriction_check(t, 0, 2)
+    geometry_check(t)
+    refs = [weakref.ref(x) for x in (t, *stages)]
+    del t, stages
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)
+
+
+def test_prune_memo_is_invisible():
+    t, fresh = (realize_multi(parse_ordinal("w*2+1"), 1)[0] for _ in range(2))
+    before = (hash(t), tree_to_obj(t), repr(t))
+    once = prune(t)
+    prune_steps(t, 3)
+    for n in range(4):
+        for beta in range(4):
+            restriction_check(t, n, beta)
+    geometry_check(t)
+    assert t == fresh and (hash(t), tree_to_obj(t), repr(t)) == before
+    # `once` now carries memos of its own, a fresh pruning does not
+    fresh_once = prune(fresh)
+    assert (once, hash(once), tree_to_obj(once)) == (fresh_once, hash(fresh_once), tree_to_obj(fresh_once))
+    assert prune(replace(t)) == once
 
 
 def test_prune_updates_successor_annotations():

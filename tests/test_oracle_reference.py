@@ -1,0 +1,127 @@
+"""The geometry and restriction oracles against their plain-`Fraction` readings."""
+
+from __future__ import annotations
+
+from dataclasses import replace
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracle_reference as reference
+from cbkit.ordinal import ONE, ZERO, parse_ordinal
+from cbkit.realize import ClusterTree, RealizationConfig, TailSpec, realize_cluster
+from cbkit.oracle import geometry_check, restriction_check
+
+RANKS = ("0", "1", "2", "3", "w", "w+1", "w*2", "w*2+3", "w^(2)", "w^(2)+w", "w^(w)")
+
+st_config = st.builds(
+    RealizationConfig,
+    children_per_node=st.integers(min_value=2, max_value=6),
+    radius_schedule=st.sampled_from(("binary", "thirds")),
+    side_rule=st.sampled_from(("right", "left")),
+    max_depth=st.integers(min_value=1, max_value=4),
+)
+
+MUTATIONS = ("moved", "duplicated", "negated", "non_dyadic", "inside_hull")
+
+
+def preorder_paths(tree: ClusterTree, path: tuple[int, ...] = ()) -> list[tuple[tuple[int, ...], ClusterTree]]:
+    out = [(path, tree)]
+    for i, child in enumerate(tree.children):
+        out.extend(preorder_paths(child, path + (i,)))
+    return out
+
+
+def replace_at(tree: ClusterTree, path: tuple[int, ...], **changes) -> ClusterTree:
+    if not path:
+        return replace(tree, **changes)
+    kids = list(tree.children)
+    kids[path[0]] = replace_at(kids[path[0]], path[1:], **changes)
+    return replace(tree, children=tuple(kids))
+
+
+def mutate(tree: ClusterTree, kind: str, data: st.DataObject) -> ClusterTree:
+    nodes = preorder_paths(tree)
+    path, node = nodes[data.draw(st.integers(0, len(nodes) - 1), label="node")]
+    z = node.center
+    if kind == "moved":
+        step = data.draw(st.integers(-8, 8).filter(bool), label="step")
+        z += node.radius * Fraction(step, 4)
+    elif kind == "duplicated":
+        z = nodes[data.draw(st.integers(0, len(nodes) - 1), label="source")][1].center
+    elif kind == "negated":
+        z = -z
+    elif kind == "non_dyadic":
+        z += node.radius / data.draw(st.sampled_from((3, 5, 7, 9)), label="denominator")
+    elif node.children:
+        # inside the hull of the first child's subtree, or between the
+        # first two children when the first is a leaf
+        first = node.children[0]
+        other = first.children[-1] if first.children else node.children[-1]
+        z = (first.center + other.center) / 2
+    return replace_at(tree, path, center=z)
+
+
+def outcome(fn, *args):
+    try:
+        return "returned", fn(*args)
+    except Exception as exc:  # the two readings must fail alike
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cfg=st_config,
+    rank=st.sampled_from(RANKS),
+    offset=st.integers(-2, 2),
+    kinds=st.lists(st.sampled_from(MUTATIONS), max_size=2),
+    data=st.data(),
+)
+def test_oracles_match_reference(cfg, rank, offset, kinds, data):
+    tree = realize_cluster(Fraction(offset), Fraction(1, 2), parse_ordinal(rank), cfg)
+    for kind in kinds:
+        tree = mutate(tree, kind, data)
+
+    fast = geometry_check(tree)
+    slow = reference.geometry_check(tree)
+    assert fast.to_obj() == slow.to_obj()
+    assert fast == slow
+
+    m = len(tree.children)
+    for n in [*range(min(m, 4)), m]:
+        for beta in range(4):
+            assert outcome(restriction_check, tree, n, beta, cfg) == outcome(
+                reference.restriction_check, tree, n, beta, cfg
+            ), (n, beta)
+
+
+def node(center: int, *children: ClusterTree) -> ClusterTree:
+    if not children:
+        return ClusterTree(Fraction(center), Fraction(1, 8), ZERO)
+    return ClusterTree(Fraction(center), Fraction(1, 8), ONE, children, TailSpec(len(children), "successor"))
+
+
+def test_sphere_point_reported_first():
+    # children at distances 8, 4, 2 give spheres at 6 and 3; the outer
+    # child's lone child sits on the first sphere, on the far side, which
+    # breaks claim 3 but neither claim 1 (distance 6 is not below 6) nor 2
+    on_sphere = node(0, node(8, node(-6)), node(4), node(2))
+    report = geometry_check(on_sphere)
+    assert report.to_obj() == reference.geometry_check(on_sphere).to_obj()
+    assert (report.claim1_ok, report.claim2_ok, report.claim3_ok) == (True, True, False)
+    assert report.counterexample.to_obj() == {
+        "path": "/",
+        "annulus": 0,
+        "claim": 3,
+        "point": "-6/1",
+        "bound": "6/1",
+    }
+
+
+def test_sphere_point_outside_the_subtree_is_ignored():
+    # the same value, but in a sibling cluster of the checked node
+    forest = node(100, node(0, node(8), node(4), node(2)), node(-6))
+    report = geometry_check(forest)
+    assert report == reference.geometry_check(forest)
+    assert report.counterexample.path == "/"

@@ -12,6 +12,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cbkit import ordinal
 from cbkit.ordinal import (
     OMEGA,
     ONE,
@@ -123,6 +124,23 @@ def test_parse_errors_carry_position():
             parse_ordinal(text)
         assert exc.value.position >= 0
         assert "position" in str(exc.value)
+
+
+def nested(depth: int) -> str:
+    return "w^(" * depth + "1" + ")" * depth
+
+
+def test_parse_bounds_exponent_nesting():
+    limit = ordinal.MAX_EXPONENT_NESTING
+    deepest = P(nested(limit))
+    assert P(format_ordinal(deepest)) == deepest
+    assert cmp(deepest, OMEGA) == 1
+    for depth in (limit + 1, 1000):
+        with pytest.raises(OrdinalParseError) as exc:
+            parse_ordinal(nested(depth))
+        assert exc.value.position == 3 * limit + 3
+    # the bound counts open exponents, not exponents overall
+    assert P("+".join([nested(limit)] * 3)) == mul(deepest, 3)
 
 
 def test_strict_mode_rejections():
