@@ -4,146 +4,16 @@ Four layers: exact ordinal arithmetic in Cantor normal form, the
 characteristic calculus on homeomorphism classes, constructive
 realization of any class as a cluster tree of rationals, and
 independent oracles (pruning, geometry, rank audits) that check the
-realizations against the calculus.
+realizations against the calculus.  Each layer's ``__all__`` is
+re-exported here.
 """
 
-from .ordinal import (
-    OMEGA,
-    ONE,
-    ZERO,
-    NotCanonicalError,
-    NotLimitError,
-    Ordinal,
-    OrdinalParseError,
-    SubtractionUndefinedError,
-    add,
-    cmp,
-    format_ordinal,
-    fundamental_seq,
-    left_sub,
-    mul,
-    omega_pow,
-    parse_ordinal,
-)
-from .space import (
-    EMPTY_CLASS,
-    AmbientDescriptor,
-    Cardinality,
-    CbChar,
-    CensusBudgetError,
-    census,
-    char_from_obj,
-    char_to_obj,
-    class_count,
-    derivative,
-    derivative_steps,
-    homeomorphic,
-    union_char,
-)
-from .realize import (
-    DEFAULT_CONFIG,
-    ClusterTree,
-    InvalidRadiusError,
-    PointCloud,
-    RealizationConfig,
-    TailSpec,
-    TreeInvariantError,
-    dump_forest,
-    embed_ordinal,
-    extend_children,
-    load_forest,
-    materialize,
-    materialize_forest,
-    materialize_tail_child,
-    realize_cluster,
-    realize_multi,
-    tree_from_json,
-    tree_to_json,
-    validate_tree,
-)
-from .oracle import (
-    AnnulusIndexError,
-    AuditError,
-    GeometryReport,
-    InfiniteRankError,
-    PruneReport,
-    StageBudgetError,
-    audit_char,
-    audit_rank,
-    char_by_pruning,
-    geometry_check,
-    prune,
-    prune_forest,
-    prune_steps,
-    prune_trace,
-    restriction_check,
-)
+from . import oracle, ordinal, realize, space
+from .ordinal import *  # noqa: F403
+from .space import *  # noqa: F403
+from .realize import *  # noqa: F403
+from .oracle import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "OMEGA",
-    "ONE",
-    "ZERO",
-    "NotCanonicalError",
-    "NotLimitError",
-    "Ordinal",
-    "OrdinalParseError",
-    "SubtractionUndefinedError",
-    "add",
-    "cmp",
-    "format_ordinal",
-    "fundamental_seq",
-    "left_sub",
-    "mul",
-    "omega_pow",
-    "parse_ordinal",
-    "EMPTY_CLASS",
-    "AmbientDescriptor",
-    "Cardinality",
-    "CbChar",
-    "CensusBudgetError",
-    "census",
-    "char_from_obj",
-    "char_to_obj",
-    "class_count",
-    "derivative",
-    "derivative_steps",
-    "homeomorphic",
-    "union_char",
-    "DEFAULT_CONFIG",
-    "ClusterTree",
-    "InvalidRadiusError",
-    "PointCloud",
-    "RealizationConfig",
-    "TailSpec",
-    "TreeInvariantError",
-    "dump_forest",
-    "embed_ordinal",
-    "extend_children",
-    "load_forest",
-    "materialize",
-    "materialize_forest",
-    "materialize_tail_child",
-    "realize_cluster",
-    "realize_multi",
-    "tree_from_json",
-    "tree_to_json",
-    "validate_tree",
-    "AnnulusIndexError",
-    "AuditError",
-    "GeometryReport",
-    "InfiniteRankError",
-    "PruneReport",
-    "StageBudgetError",
-    "audit_char",
-    "audit_rank",
-    "char_by_pruning",
-    "geometry_check",
-    "prune",
-    "prune_forest",
-    "prune_steps",
-    "prune_trace",
-    "restriction_check",
-    "__version__",
-]
+__all__ = [*ordinal.__all__, *space.__all__, *realize.__all__, *oracle.__all__, "__version__"]

@@ -46,6 +46,9 @@ from .realize import (
     SCHEDULE_BASES,
     RealizationConfig,
     TreeInvariantError,
+    _SIDE_SIGNS,
+    _forest_json,
+    _read_json,
     load_forest,
     materialize_forest,
     parse_config_file,
@@ -88,7 +91,7 @@ def _strict() -> bool:
 
 
 def _load_char(path: str, strict: bool) -> CbChar:
-    return char_from_obj(json.loads(Path(path).read_text()), strict=strict)
+    return char_from_obj(_read_json(Path(path).read_text()), strict=strict)
 
 
 def _cmd_ord(args: argparse.Namespace) -> int:
@@ -150,9 +153,7 @@ def _cmd_realize(args: argparse.Namespace) -> int:
     if args.out is not None and args.points is not None and args.out == args.points:
         raise ValueError("tree and point outputs must be distinct paths")
     forest = realize_multi(alpha, args.p, cfg)
-    objs = [tree_to_obj(t) for t in forest]
-    payload: object = objs[0] if len(objs) == 1 else objs
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(_forest_json([tree_to_obj(t) for t in forest]), args.out)
     points = args.points
     if points is None and args.out is not None:
         points = args.out + ".points.csv"
@@ -272,7 +273,7 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("-m", "--children", type=int, help="materialized children per node")
     sub.add_argument("--depth", type=int, help="realization depth budget")
     sub.add_argument("--schedule", choices=tuple(SCHEDULE_BASES), help="radius schedule")
-    sub.add_argument("--side", choices=("right", "left"), help="child placement side")
+    sub.add_argument("--side", choices=tuple(_SIDE_SIGNS), help="child placement side")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -344,9 +345,6 @@ def main(argv: list[str] | None = None) -> int:
         label = next(lbl for t, lbl in _DOMAIN_LABELS.items() if isinstance(exc, t))
         print(f"cbkit: {label}: {exc}", file=sys.stderr)
         return 3
-    except (OrdinalParseError, TreeInvariantError, json.JSONDecodeError) as exc:
-        print(f"cbkit: error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"cbkit: error: {exc}", file=sys.stderr)
         return 2

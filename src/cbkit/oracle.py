@@ -419,11 +419,13 @@ def geometry_check(tree: ClusterTree) -> GeometryReport:
         else:
             inside = claim == 1
             point = min(v for v in vals[found : end[found]] if (abs(v - z) < bound) == inside)
-        steps = []
+        slots = []
         while parent[i] >= 0:
-            steps.append(f"/{slot[i]}")
+            slots.append(slot[i])
             i = parent[i]
-        path = "".join(reversed(steps)) or "/"
+        path = "/"
+        for k in reversed(slots):
+            path = _child_path(path, k)
         counterexample = AnnulusCheck(path, n, claim, Fraction(point, scale), Fraction(bound, scale))
     return GeometryReport(
         ok=first is None,

@@ -19,6 +19,7 @@ so ``w^(w)*2+w*3+5`` denotes ``w^w * 2 + w * 3 + 5``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NoReturn
 
 __all__ = [
     "Ordinal",
@@ -102,12 +103,6 @@ class Ordinal:
     @property
     def is_limit(self) -> bool:
         return bool(self.terms) and not self.terms[-1][0].is_zero
-
-    @property
-    def leading_exponent(self) -> "Ordinal":
-        if not self.terms:
-            raise ValueError("0 has no leading exponent")
-        return self.terms[0][0]
 
     def pred(self) -> "Ordinal":
         """The ordinal directly below a successor."""
@@ -318,7 +313,7 @@ class _Parser:
         self.pos = 0
         self.nesting = 0
 
-    def _error(self, message: str) -> None:
+    def _error(self, message: str) -> NoReturn:
         raise OrdinalParseError(message, self.pos)
 
     def _skip_ws(self) -> None:
@@ -367,7 +362,6 @@ class _Parser:
         if ch is not None and ch.isdigit():
             return ZERO, self._nat(), start, True
         self._error("expected 'w' or a number")
-        raise AssertionError("unreachable")
 
     def _expr(self) -> Ordinal:
         items = [self._term()]

@@ -57,6 +57,7 @@ __all__ = [
     "tree_from_json",
     "dump_forest",
     "load_forest",
+    "MAX_TREE_DEPTH",
     "parse_config_file",
 ]
 
@@ -136,10 +137,14 @@ class ClusterTree:
     def node_count(self) -> int:
         return 1 + sum(child.node_count() for child in self.children)
 
-    def iter_nodes(self, path: str = "/") -> Iterator[tuple[str, "ClusterTree"]]:
-        yield path, self
-        for i, child in enumerate(self.children):
-            yield from child.iter_nodes(_child_path(path, i))
+    def iter_nodes(self) -> Iterator[tuple[str, "ClusterTree"]]:
+        """Every node with its path, in preorder."""
+        stack = [("/", self)]
+        while stack:
+            path, node = stack.pop()
+            yield path, node
+            kids = node.children
+            stack.extend((_child_path(path, i), kids[i]) for i in range(len(kids) - 1, -1, -1))
 
     def centers(self) -> set[Fraction]:
         return {node.center for _, node in self.iter_nodes()}
@@ -399,16 +404,25 @@ def tree_to_obj(tree: ClusterTree) -> dict:
     return obj
 
 
+# Deepest node, in levels below its root, that a loaded tree may hold.
+# The loader and the tree walks recurse once per level, so the input must
+# not set the recursion depth.  Realized trees stay far shallower: one of
+# finite rank that is d levels deep has at least 2^d nodes.
+MAX_TREE_DEPTH = 100
+
+
 def tree_from_obj(obj: dict, strict: bool = False) -> ClusterTree:
-    return _tree_from_obj(obj, strict, {})
+    return _tree_from_obj(obj, strict, {}, 0)
 
 
-def _tree_from_obj(obj: dict, strict: bool, ranks: dict[str, Ordinal]) -> ClusterTree:
+def _tree_from_obj(obj: dict, strict: bool, ranks: dict[str, Ordinal], depth: int) -> ClusterTree:
     """tree_from_obj, parsing each distinct rank text once per load.
 
     ranks maps rank text to its value; one load shares it, and strict is
-    fixed for that load.
+    fixed for that load.  depth is the node's level below its root.
     """
+    if depth > MAX_TREE_DEPTH:
+        raise ValueError(f"cluster tree deeper than {MAX_TREE_DEPTH} levels")
     if not isinstance(obj, dict):
         raise ValueError("cluster tree must be a JSON object")
     missing = {"center", "radius", "rank", "children", "tail"} - obj.keys()
@@ -434,32 +448,43 @@ def _tree_from_obj(obj: dict, strict: bool, ranks: dict[str, Ordinal]) -> Cluste
         center,
         radius,
         rank,
-        tuple(_tree_from_obj(child, strict, ranks) for child in obj["children"]),
+        tuple(_tree_from_obj(child, strict, ranks, depth + 1) for child in obj["children"]),
         tail,
     )
 
 
+def _forest_json(objs: list[dict]) -> str:
+    """JSON text of tree objects: one tree as a single object, several as an array."""
+    return json.dumps(objs[0] if len(objs) == 1 else objs, indent=2) + "\n"
+
+
+def _read_json(text: str) -> object:
+    """json.loads for outside input; nesting too deep to decode is a ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 def tree_to_json(tree: ClusterTree) -> str:
-    return json.dumps(tree_to_obj(tree), indent=2) + "\n"
+    return _forest_json([tree_to_obj(tree)])
 
 
 def tree_from_json(text: str, strict: bool = False) -> ClusterTree:
-    return tree_from_obj(json.loads(text), strict)
+    return tree_from_obj(_read_json(text), strict)
 
 
 def dump_forest(forest: Sequence[ClusterTree], path: str | Path) -> None:
     """Write one tree as a single object, several as an array."""
-    objs = [tree_to_obj(tree) for tree in forest]
-    payload: object = objs[0] if len(objs) == 1 else objs
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    Path(path).write_text(_forest_json([tree_to_obj(tree) for tree in forest]))
 
 
 def load_forest(path: str | Path, strict: bool = False) -> tuple[ClusterTree, ...]:
-    data = json.loads(Path(path).read_text())
+    data = _read_json(Path(path).read_text())
     ranks: dict[str, Ordinal] = {}
     if isinstance(data, list):
-        return tuple(_tree_from_obj(obj, strict, ranks) for obj in data)
-    return (_tree_from_obj(data, strict, ranks),)
+        return tuple(_tree_from_obj(obj, strict, ranks, 0) for obj in data)
+    return (_tree_from_obj(data, strict, ranks, 0),)
 
 
 _CONFIG_KEYS = {

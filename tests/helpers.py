@@ -57,3 +57,17 @@ def stagewise_union(s1: CbChar, s2: CbChar) -> CbChar:
 def shifted_forest(alpha: Ordinal, p: int, offset: int, cfg=DEFAULT_CONFIG) -> list[ClusterTree]:
     """p rank-alpha clusters at integer centers offset..offset+p-1."""
     return [realize_cluster(Fraction(offset + k), Fraction(1, 2), alpha, cfg) for k in range(p)]
+
+
+def chain_obj(levels: int) -> dict:
+    """Tree object of a chain whose deepest node is `levels` below the root."""
+    node: dict = {"center": "0/1", "radius": "1/2", "rank": "0", "children": [], "tail": None}
+    for _ in range(levels):
+        node = {
+            "center": "0/1",
+            "radius": "1/2",
+            "rank": "1",
+            "children": [node],
+            "tail": {"next_index": 1, "generator": "successor"},
+        }
+    return node

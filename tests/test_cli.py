@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 from cbkit.cli import main
-from cbkit.realize import load_forest
+from cbkit.ordinal import parse_ordinal
+from cbkit.realize import dump_forest, load_forest, realize_multi
+from helpers import chain_obj
 
 
 def run(capsys, *argv):
@@ -117,6 +119,15 @@ def test_space_bad_char_file(capsys, tmp_path):
     assert run(capsys, "space", "homeo", str(bad), str(bad))[0] == 2
 
 
+def test_space_union_deep_json_exits_2(capsys, tmp_path):
+    deep = tmp_path / "a.json"
+    deep.write_text("[" * 100_000)
+    good = tmp_path / "b.json"
+    good.write_text('{"rank": "w", "count": 1}\n')
+    code, out, err = run(capsys, "space", "union", str(deep), str(good))
+    assert (code, out, err) == (2, "", "cbkit: error: JSON nested too deeply\n")
+
+
 # -------------------------------------------------------------------- realize
 
 
@@ -142,6 +153,15 @@ def test_realize_writes_tree_and_points(capsys, tmp_path):
     csv = Path(str(out) + ".points.csv").read_text().splitlines()
     assert csv[0] == "point,den_path"
     assert len(csv) > 20
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_dump_forest_matches_realize_out(capsys, tmp_path, p):
+    out = tmp_path / "cli.json"
+    assert run(capsys, "realize", "w+1", "-p", str(p), "--out", str(out))[0] == 0
+    lib = tmp_path / "lib.json"
+    dump_forest(realize_multi(parse_ordinal("w+1"), p), lib)
+    assert lib.read_bytes() == out.read_bytes()
 
 
 def test_realize_path_collision(capsys, tmp_path):
@@ -237,6 +257,21 @@ def test_verify_deep_nesting_rank_exits_2(capsys, tmp_path):
     code, report_text, err = run(capsys, "verify", str(out))
     assert (code, report_text) == (2, "")
     assert "nested deeper" in err
+
+
+def test_verify_deep_json_exits_2(capsys, tmp_path):
+    out = tmp_path / "t.json"
+    out.write_text("[" * 100_000)
+    code, report_text, err = run(capsys, "verify", str(out))
+    assert (code, report_text, err) == (2, "", "cbkit: error: JSON nested too deeply\n")
+
+
+def test_verify_tree_past_depth_limit_exits_2(capsys, tmp_path):
+    out = tmp_path / "t.json"
+    out.write_text(json.dumps(chain_obj(101)))
+    code, report_text, err = run(capsys, "verify", str(out))
+    assert (code, report_text) == (2, "")
+    assert err == "cbkit: error: cluster tree deeper than 100 levels\n"
 
 
 def test_verify_missing_file(capsys, tmp_path):

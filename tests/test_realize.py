@@ -10,6 +10,7 @@ import pytest
 from cbkit.ordinal import OMEGA, ONE, ZERO, Ordinal, fundamental_seq, parse_ordinal
 from cbkit.realize import (
     DEFAULT_CONFIG,
+    MAX_TREE_DEPTH,
     ClusterTree,
     InvalidRadiusError,
     RealizationConfig,
@@ -30,10 +31,12 @@ from cbkit.realize import (
     realize_multi,
     scheduled_radius,
     tree_from_json,
+    tree_from_obj,
     tree_to_json,
     validate_tree,
 )
 from cbkit.oracle import char_by_pruning
+from helpers import chain_obj
 
 P = parse_ordinal
 F = Fraction
@@ -297,6 +300,21 @@ def test_tree_obj_shape_errors():
             '{"center": "0/1", "radius": "1/1", "rank": "0", "children": [], '
             '"tail": {"next_index": 0}}'
         )
+
+
+def test_load_accepts_tree_at_depth_limit():
+    tree = tree_from_obj(chain_obj(MAX_TREE_DEPTH))
+    assert tree.node_count() == MAX_TREE_DEPTH + 1
+
+
+def test_load_refuses_tree_past_depth_limit():
+    with pytest.raises(ValueError, match="deeper than 100 levels"):
+        tree_from_obj(chain_obj(MAX_TREE_DEPTH + 1))
+
+
+def test_tree_from_json_deep_nesting():
+    with pytest.raises(ValueError, match="JSON nested too deeply"):
+        tree_from_json("[" * 100_000)
 
 
 def test_forest_file_round_trip(tmp_path):
