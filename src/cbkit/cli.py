@@ -47,8 +47,9 @@ from .realize import (
     RealizationConfig,
     TreeInvariantError,
     _SIDE_SIGNS,
-    _forest_json,
+    _check_budgets,
     _read_json,
+    _write_forest,
     load_forest,
     materialize_forest,
     parse_config_file,
@@ -58,6 +59,7 @@ from .realize import (
 )
 from .oracle import (
     InfiniteRankError,
+    ScaleBudgetError,
     StageBudgetError,
     AuditError,
     audit_char,
@@ -71,6 +73,7 @@ _DOMAIN_LABELS = {
     NotLimitError: "NotLimit",
     InfiniteRankError: "InfiniteRank",
     StageBudgetError: "StageBudgetExceeded",
+    ScaleBudgetError: "ScaleBudgetExceeded",
     CensusBudgetError: "BudgetExceeded",
 }
 
@@ -146,22 +149,33 @@ def _config_from_args(args: argparse.Namespace) -> RealizationConfig:
     return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
+def _write_trees(forest: list, out: str | None) -> None:
+    """Tree JSON to out, or stdout; the tree objects die on return."""
+    objs = [tree_to_obj(t) for t in forest]
+    if out is None:
+        _write_forest(objs, sys.stdout.write)
+    else:
+        with open(out, "w", encoding="ascii") as f:
+            _write_forest(objs, f.write)
+
+
 def _cmd_realize(args: argparse.Namespace) -> int:
     strict = _strict()
     alpha = parse_ordinal(args.rank, strict=strict)
     cfg = _config_from_args(args)
     if args.out is not None and args.points is not None and args.out == args.points:
         raise ValueError("tree and point outputs must be distinct paths")
+    depth = args.mat_depth if args.mat_depth is not None else max(1, cfg.max_depth)
+    width = args.width if args.width is not None else cfg.children_per_node
+    # bad input ends the run before any file is written
+    _check_budgets(depth, width)
     forest = realize_multi(alpha, args.p, cfg)
-    _emit(_forest_json([tree_to_obj(t) for t in forest]), args.out)
+    _write_trees(forest, args.out)
     points = args.points
     if points is None and args.out is not None:
         points = args.out + ".points.csv"
     if points is not None:
-        depth = args.mat_depth if args.mat_depth is not None else max(1, cfg.max_depth)
-        width = args.width if args.width is not None else cfg.children_per_node
-        cloud = materialize_forest(forest, depth, width)
-        Path(points).write_text(cloud.to_csv())
+        Path(points).write_text(materialize_forest(forest, depth, width).to_csv())
     return 0
 
 
@@ -205,7 +219,7 @@ def _verify_file(path: Path, cfg: RealizationConfig, strict: bool, stage_cap: in
     if all(t.rank.is_finite for t in forest):
         try:
             char_pruned = char_by_pruning(forest, stage_cap=stage_cap)
-        except (StageBudgetError, TreeInvariantError) as exc:
+        except TreeInvariantError as exc:
             failures.append(f"pruning: {exc}")
         if char_pruned is not None and char_expected is not None and char_pruned != char_expected:
             failures.append(
@@ -232,6 +246,8 @@ def _verify_file(path: Path, cfg: RealizationConfig, strict: bool, stage_cap: in
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.stage_cap < 1:
+        raise ValueError("--stage-cap must be >= 1")
     strict = _strict()
     cfg = _config_from_args(args)
     target = Path(args.target)

@@ -24,8 +24,9 @@ hot loops of the geometry and restriction checks compare Python ints:
 centers scaled by the least common denominator of the tree's centers.
 Realized trees have denominators 2*b^k for the schedule base b, so that
 scale is the largest denominator; for any other tree its bit length is
-at most the total bits of the denominators.  Fractions appear again only
-in a reported counterexample.
+at most the total bits of the denominators, and a scale longer than
+MAX_SCALE_BITS ends the check with ScaleBudgetError.  Fractions appear
+again only in a reported counterexample.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ from .realize import (
 __all__ = [
     "InfiniteRankError",
     "StageBudgetError",
+    "ScaleBudgetError",
+    "MAX_SCALE_BITS",
     "AnnulusIndexError",
     "AuditError",
     "prune",
@@ -79,6 +82,10 @@ class InfiniteRankError(ValueError):
 
 class StageBudgetError(RuntimeError):
     """Pruning exceeded its stage budget without stabilizing."""
+
+
+class ScaleBudgetError(RuntimeError):
+    """The common denominator of a tree's centers outgrew MAX_SCALE_BITS."""
 
 
 class AnnulusIndexError(IndexError):
@@ -283,6 +290,16 @@ def _centers(tree: ClusterTree) -> list[Fraction]:
     return centers
 
 
+# Bit length allowed to the scale of one tree.  Every scaled center is an
+# int of about that many bits, so the checks' memory grows with nodes times
+# scale bits, and many distinct prime denominators make the scale grow with
+# their total bits.  A realized tree's scale gains about log2(b) bits per
+# child index per level (schedule base b): the acceptance grid stays within
+# 36 bits; `-m 5170 --depth 1 --schedule thirds` is the first one-level
+# thirds tree past the budget.
+MAX_SCALE_BITS = 8192
+
+
 def _scale(tree: ClusterTree) -> int:
     """Least common denominator of the tree's centers, memoized on the tree."""
     memo = tree.__dict__
@@ -291,6 +308,10 @@ def _scale(tree: ClusterTree) -> int:
         for q in _centers(tree):
             if scale % q.denominator:
                 scale = lcm(scale, q.denominator)
+                if scale.bit_length() > MAX_SCALE_BITS:
+                    raise ScaleBudgetError(
+                        f"common denominator of the centers exceeds {MAX_SCALE_BITS} bits"
+                    )
         memo[_SCALE] = scale
     return memo[_SCALE]
 

@@ -18,11 +18,13 @@ boundary comparisons are decided, never approximated.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .ordinal import Ordinal, ZERO, format_ordinal, fundamental_seq, parse_ordinal
 
@@ -298,9 +300,13 @@ def _collect(node: ClusterTree, path: str, depth: int, depth_budget: int, width_
         _collect(child, _child_path(path, i), depth + 1, depth_budget, width_budget, prov)
 
 
-def _cloud(roots: Iterable[tuple[str, ClusterTree]], depth_budget: int, width_budget: int) -> PointCloud:
+def _check_budgets(depth_budget: int, width_budget: int) -> None:
     if depth_budget < 1 or width_budget < 1:
         raise ValueError("budgets must be >= 1")
+
+
+def _cloud(roots: Iterable[tuple[str, ClusterTree]], depth_budget: int, width_budget: int) -> PointCloud:
+    _check_budgets(depth_budget, width_budget)
     prov: dict[Fraction, str] = {}
     for path, tree in roots:
         _collect(tree, path, 0, depth_budget, width_budget, prov)
@@ -453,9 +459,57 @@ def _tree_from_obj(obj: dict, strict: bool, ranks: dict[str, Ordinal], depth: in
     )
 
 
-def _forest_json(objs: list[dict]) -> str:
-    """JSON text of tree objects: one tree as a single object, several as an array."""
-    return json.dumps(objs[0] if len(objs) == 1 else objs, indent=2) + "\n"
+def _write_forest(objs: Sequence[dict], write: Callable[[str], object]) -> None:
+    """Write tree objects as JSON: one tree as a single object, several as an array.
+
+    The text is exactly what json.dumps(..., indent=2) makes of the one
+    object or of the list, plus a newline, sent to write piece by piece.
+    json's indent mode runs its pure-Python encoder and joins every chunk
+    in memory; the tree schema is fixed, so it is written here directly,
+    with json's own C string escaper.
+    """
+    if len(objs) == 1:
+        _write_tree(objs[0], "\n", write)
+    elif not objs:
+        write("[]")
+    else:
+        sep = "[\n  "
+        for obj in objs:
+            write(sep)
+            _write_tree(obj, "\n  ", write)
+            sep = ",\n  "
+        write("\n]")
+    write("\n")
+
+
+def _write_tree(obj: dict, nl: str, write: Callable[[str], object]) -> None:
+    """One tree object of tree_to_obj; nl is a newline plus the indent of its braces."""
+    pad = nl + "  "
+    head = (
+        f'{{{pad}"center": {encode_basestring_ascii(obj["center"])},'
+        f'{pad}"radius": {encode_basestring_ascii(obj["radius"])},'
+        f'{pad}"rank": {encode_basestring_ascii(obj["rank"])},'
+        f'{pad}"children": '
+    )
+    tail = obj["tail"]
+    if tail is None:
+        end = f',{pad}"tail": null{nl}}}'
+    else:
+        end = (
+            f',{pad}"tail": {{{pad}  "next_index": {tail["next_index"]},'
+            f'{pad}  "generator": {encode_basestring_ascii(tail["generator"])}{pad}}}{nl}}}'
+        )
+    children = obj["children"]
+    if not children:
+        write(f"{head}[]{end}")
+        return
+    inner = pad + "  "
+    sep = f"{head}[{inner}"
+    for child in children:
+        write(sep)
+        _write_tree(child, inner, write)
+        sep = f",{inner}"
+    write(f"{pad}]{end}")
 
 
 def _read_json(text: str) -> object:
@@ -467,7 +521,9 @@ def _read_json(text: str) -> object:
 
 
 def tree_to_json(tree: ClusterTree) -> str:
-    return _forest_json([tree_to_obj(tree)])
+    buffer = io.StringIO()
+    _write_forest([tree_to_obj(tree)], buffer.write)
+    return buffer.getvalue()
 
 
 def tree_from_json(text: str, strict: bool = False) -> ClusterTree:
@@ -476,7 +532,9 @@ def tree_from_json(text: str, strict: bool = False) -> ClusterTree:
 
 def dump_forest(forest: Sequence[ClusterTree], path: str | Path) -> None:
     """Write one tree as a single object, several as an array."""
-    Path(path).write_text(_forest_json([tree_to_obj(tree) for tree in forest]))
+    objs = [tree_to_obj(tree) for tree in forest]
+    with Path(path).open("w", encoding="ascii") as f:
+        _write_forest(objs, f.write)
 
 
 def load_forest(path: str | Path, strict: bool = False) -> tuple[ClusterTree, ...]:

@@ -2,16 +2,29 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cbkit.cli import main
+from cbkit.oracle import MAX_SCALE_BITS
 from cbkit.ordinal import parse_ordinal
-from cbkit.realize import dump_forest, load_forest, realize_multi
+from cbkit.realize import (
+    SCHEDULE_BASES,
+    RealizationConfig,
+    dump_forest,
+    load_forest,
+    realize_multi,
+    tree_to_json,
+    tree_to_obj,
+)
 from helpers import chain_obj
 
 
@@ -164,6 +177,42 @@ def test_dump_forest_matches_realize_out(capsys, tmp_path, p):
     assert lib.read_bytes() == out.read_bytes()
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    rank=st.sampled_from(("0", "1", "3", "w", "w+2", "w*2", "w^(2)", "w^(w)")),
+    p=st.integers(min_value=1, max_value=4),
+    m=st.integers(min_value=2, max_value=6),
+    depth=st.integers(min_value=0, max_value=3),
+    schedule=st.sampled_from(tuple(SCHEDULE_BASES)),
+    side=st.sampled_from(("right", "left")),
+)
+def test_tree_json_matches_json_dumps(rank, p, m, depth, schedule, side):
+    # cbkit writes the tree schema itself; json.dumps is the reference
+    forest = realize_multi(parse_ordinal(rank), p, RealizationConfig(m, schedule, side, depth))
+    objs = [tree_to_obj(t) for t in forest]
+    expected = json.dumps(objs[0] if p == 1 else objs, indent=2) + "\n"
+    assert tree_to_json(forest[0]) == json.dumps(objs[0], indent=2) + "\n"
+    argv = ["realize", rank, "-p", str(p), "-m", str(m), "--depth", str(depth)]
+    argv += ["--schedule", schedule, "--side", side]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(argv) == 0
+    assert stdout.getvalue() == expected
+    with tempfile.TemporaryDirectory() as tmp:
+        lib, cli = Path(tmp, "lib.json"), Path(tmp, "cli.json")
+        dump_forest(forest, lib)
+        assert main([*argv, "--out", str(cli)]) == 0
+        assert lib.read_bytes() == cli.read_bytes() == expected.encode("ascii")
+
+
+@pytest.mark.parametrize("flag", ["--mat-depth", "--width"])
+def test_realize_bad_budget_writes_nothing(capsys, tmp_path, flag):
+    out = tmp_path / "a.json"
+    code, stdout, err = run(capsys, "realize", "1", "--out", str(out), flag, "0")
+    assert (code, stdout, err) == (2, "", "cbkit: error: budgets must be >= 1\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_realize_path_collision(capsys, tmp_path):
     p = str(tmp_path / "x.json")
     assert run(capsys, "realize", "1", "--out", p, "--points", p)[0] == 2
@@ -238,6 +287,43 @@ def test_verify_wrong_tail_generator(capsys, tmp_path):
     assert report["ok"] is False
     assert any(f.startswith("structure[0]: tail generator disagrees") for f in report["failures"])
     assert any(f.startswith("pruning: tail generator disagrees") for f in report["failures"])
+
+
+def test_verify_stage_cap_exhausted_exits_3(capsys, tmp_path):
+    out = tmp_path / "c.json"
+    assert run(capsys, "realize", "3", "--out", str(out))[0] == 0
+    code, report_text, err = run(capsys, "verify", str(out), "--stage-cap", "2")
+    assert (code, report_text) == (3, "")
+    assert err == "cbkit: StageBudgetExceeded: no finite stage within 2 passes\n"
+    assert run(capsys, "verify", str(out), "--stage-cap", "3")[0] == 0
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_verify_stage_cap_below_one_exits_2(capsys, tmp_path, cap):
+    out = tmp_path / "c.json"
+    assert run(capsys, "realize", "0", "--out", str(out))[0] == 0
+    code, report_text, err = run(capsys, "verify", str(out), "--stage-cap", cap)
+    assert (code, report_text, err) == (2, "", "cbkit: error: --stage-cap must be >= 1\n")
+
+
+def test_verify_scale_budget_exits_3(capsys, tmp_path):
+    # two leaves whose coprime denominators together pass the scale budget
+    leaves = [
+        {"center": f"1/{den}", "radius": "1/8", "rank": "0", "children": [], "tail": None}
+        for den in (2 ** (MAX_SCALE_BITS - 1), 3)
+    ]
+    tree = {
+        "center": "0/1",
+        "radius": "1/2",
+        "rank": "1",
+        "children": leaves,
+        "tail": {"next_index": 2, "generator": "successor"},
+    }
+    out = tmp_path / "t.json"
+    out.write_text(json.dumps(tree))
+    code, report_text, err = run(capsys, "verify", str(out))
+    assert (code, report_text) == (3, "")
+    assert err == f"cbkit: ScaleBudgetExceeded: common denominator of the centers exceeds {MAX_SCALE_BITS} bits\n"
 
 
 def test_verify_large_finite_part(capsys, tmp_path):

@@ -29,6 +29,8 @@ from cbkit.oracle import (
     AnnulusIndexError,
     AuditError,
     InfiniteRankError,
+    MAX_SCALE_BITS,
+    ScaleBudgetError,
     StageBudgetError,
     audit_char,
     audit_rank,
@@ -381,3 +383,19 @@ def test_prune_then_audit_infinite_ranks():
 def test_count_nodes():
     assert count_nodes(realize_cluster(0, 1, Ordinal.from_int(2))) == 21
     assert count_nodes(realize_multi(ONE, 2)) == 10
+
+
+def _two_leaves(den1: int, den2: int) -> ClusterTree:
+    leaves = tuple(ClusterTree(Fraction(1, d), Fraction(1, 8), ZERO) for d in (den1, den2))
+    return ClusterTree(Fraction(0), Fraction(1, 2), ONE, leaves, TailSpec(2, "successor"))
+
+
+def test_scale_budget():
+    at_budget = _two_leaves(2 ** (MAX_SCALE_BITS - 1), 2)
+    assert geometry_check(at_budget).annuli == 1
+    restriction_check(at_budget, 0, 0)
+    past_budget = _two_leaves(2 ** (MAX_SCALE_BITS - 1), 3)
+    with pytest.raises(ScaleBudgetError, match=f"exceeds {MAX_SCALE_BITS} bits"):
+        geometry_check(past_budget)
+    with pytest.raises(ScaleBudgetError):
+        restriction_check(past_budget, 0, 0)
