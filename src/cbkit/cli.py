@@ -10,16 +10,19 @@ reports indented.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .ordinal import (
     NotLimitError,
     OrdinalParseError,
+    PrintBudgetError,
     SubtractionUndefinedError,
+    _is_natural,
     add,
     cmp,
     format_ordinal,
@@ -44,10 +47,12 @@ from .space import (
 from .realize import (
     DEFAULT_CONFIG,
     SCHEDULE_BASES,
+    NodeBudgetError,
     RealizationConfig,
     TreeInvariantError,
     _SIDE_SIGNS,
     _check_budgets,
+    _check_node_budget,
     _read_json,
     _write_forest,
     load_forest,
@@ -75,11 +80,22 @@ _DOMAIN_LABELS = {
     StageBudgetError: "StageBudgetExceeded",
     ScaleBudgetError: "ScaleBudgetExceeded",
     CensusBudgetError: "BudgetExceeded",
+    NodeBudgetError: "NodeBudgetExceeded",
+    PrintBudgetError: "PrintBudgetExceeded",
 }
 
 
+def _domain_line(exc: Exception) -> str:
+    """The stderr line of a domain error or an exhausted budget."""
+    label = next(lbl for t, lbl in _DOMAIN_LABELS.items() if isinstance(exc, t))
+    return f"{label}: {exc}"
+
+
 def _compact(obj: object) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+    try:
+        return json.dumps(obj, separators=(",", ":"))
+    except ValueError:  # an int longer than Python converts to text
+        raise PrintBudgetError() from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -140,23 +156,30 @@ def _cmd_space(args: argparse.Namespace) -> int:
 
 def _config_from_args(args: argparse.Namespace) -> RealizationConfig:
     cfg = parse_config_file(args.config) if args.config else DEFAULT_CONFIG
-    flags = {
-        "children_per_node": args.children,
-        "max_depth": args.depth,
-        "radius_schedule": args.schedule,
-        "side_rule": args.side,
-    }
-    return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
+    given = {f.name: getattr(args, f.name) for f in fields(RealizationConfig)}
+    return replace(cfg, **{k: v for k, v in given.items() if v is not None})
 
 
-def _write_trees(forest: list, out: str | None) -> None:
-    """Tree JSON to out, or stdout; the tree objects die on return."""
-    objs = [tree_to_obj(t) for t in forest]
-    if out is None:
-        _write_forest(objs, sys.stdout.write)
-    else:
-        with open(out, "w", encoding="ascii") as f:
-            _write_forest(objs, f.write)
+@contextlib.contextmanager
+def _outputs(*paths: str | None):
+    """Open every given path for writing, all before the first byte is written.
+
+    Yields one file per path, None where the path is None.  If an open or
+    the run fails, the files this call created are removed again.
+    """
+    created = [path for path in paths if path is not None and not os.path.exists(path)]
+    with contextlib.ExitStack() as stack:
+        try:
+            yield [
+                None if path is None else stack.enter_context(open(path, "w", encoding="ascii"))
+                for path in paths
+            ]
+        except BaseException:
+            stack.close()
+            for path in created:
+                with contextlib.suppress(OSError):
+                    os.remove(path)
+            raise
 
 
 def _cmd_realize(args: argparse.Namespace) -> int:
@@ -167,15 +190,19 @@ def _cmd_realize(args: argparse.Namespace) -> int:
         raise ValueError("tree and point outputs must be distinct paths")
     depth = args.mat_depth if args.mat_depth is not None else max(1, cfg.max_depth)
     width = args.width if args.width is not None else cfg.children_per_node
-    # bad input ends the run before any file is written
+    # bad input ends the run before any file is opened
     _check_budgets(depth, width)
-    forest = realize_multi(alpha, args.p, cfg)
-    _write_trees(forest, args.out)
+    _check_node_budget(alpha, args.p, cfg)
     points = args.points
     if points is None and args.out is not None:
         points = args.out + ".points.csv"
-    if points is not None:
-        Path(points).write_text(materialize_forest(forest, depth, width).to_csv())
+    with _outputs(args.out, points) as (tree_file, points_file):
+        forest = realize_multi(alpha, args.p, cfg)
+        write = sys.stdout.write if tree_file is None else tree_file.write
+        # the tree objects die before the points are materialized
+        _write_forest([tree_to_obj(t) for t in forest], write)
+        if points_file is not None:
+            points_file.write(materialize_forest(forest, depth, width).to_csv())
     return 0
 
 
@@ -246,22 +273,38 @@ def _verify_file(path: Path, cfg: RealizationConfig, strict: bool, stage_cap: in
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.stage_cap < 1:
+    if not _is_natural(args.stage_cap, 1):
         raise ValueError("--stage-cap must be >= 1")
     strict = _strict()
     cfg = _config_from_args(args)
     target = Path(args.target)
-    if target.is_dir():
-        files = sorted(target.glob("*.json"))
-        reports = [_verify_file(f, cfg, strict, args.stage_cap) for f in files]
-        payload: object = reports
-        ok = all(r["ok"] for r in reports)
-    else:
+    if not target.is_dir():
         report = _verify_file(target, cfg, strict, args.stage_cap)
-        payload = report
-        ok = report["ok"]
-    _emit(json.dumps(payload, indent=2) + "\n", args.report)
-    return 0 if ok else 1
+        _emit(json.dumps(report, indent=2) + "\n", args.report)
+        return 0 if report["ok"] else 1
+    reports = []
+    code = 0
+    for f in sorted(target.glob("*.json")):
+        try:
+            report = _verify_file(f, cfg, strict, args.stage_cap)
+        except (StageBudgetError, ScaleBudgetError) as exc:
+            # an exhausted budget fails this file only; the others still report
+            line = _domain_line(exc)
+            print(f"cbkit: {line}", file=sys.stderr)
+            report = {
+                "tree": str(f),
+                "geometry": None,
+                "char_expected": None,
+                "char_pruned": None,
+                "ok": False,
+                "failures": [f"budget: {line}"],
+            }
+            code = 3
+        reports.append(report)
+        if not report["ok"]:
+            code = max(code, 1)
+    _emit(json.dumps(reports, indent=2) + "\n", args.report)
+    return code
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
@@ -286,10 +329,14 @@ def _cmd_classcount(args: argparse.Namespace) -> int:
 
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="key = value realization config file")
-    sub.add_argument("-m", "--children", type=int, help="materialized children per node")
-    sub.add_argument("--depth", type=int, help="realization depth budget")
-    sub.add_argument("--schedule", choices=tuple(SCHEDULE_BASES), help="radius schedule")
-    sub.add_argument("--side", choices=tuple(_SIDE_SIGNS), help="child placement side")
+    # dest is the RealizationConfig field each flag sets
+    sub.add_argument(
+        "-m", "--children", dest="children_per_node", metavar="CHILDREN", type=int,
+        help="materialized children per node",
+    )
+    sub.add_argument("--depth", dest="max_depth", metavar="DEPTH", type=int, help="realization depth budget")
+    sub.add_argument("--schedule", dest="radius_schedule", choices=tuple(SCHEDULE_BASES), help="radius schedule")
+    sub.add_argument("--side", dest="side_rule", choices=tuple(_SIDE_SIGNS), help="child placement side")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -358,8 +405,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args)
     except tuple(_DOMAIN_LABELS) as exc:
-        label = next(lbl for t, lbl in _DOMAIN_LABELS.items() if isinstance(exc, t))
-        print(f"cbkit: {label}: {exc}", file=sys.stderr)
+        print(f"cbkit: {_domain_line(exc)}", file=sys.stderr)
         return 3
     except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"cbkit: error: {exc}", file=sys.stderr)

@@ -38,7 +38,7 @@ from itertools import accumulate
 from math import ceil, lcm
 from typing import Iterable
 
-from .ordinal import ONE, ZERO, Ordinal, left_sub
+from .ordinal import ONE, ZERO, Ordinal, _is_natural, _require_natural, left_sub
 from .space import CbChar, EMPTY_CLASS, union_char
 from .realize import (
     DEFAULT_CONFIG,
@@ -166,8 +166,7 @@ def prune_forest(forest: ClusterTree | Iterable[ClusterTree]) -> tuple[ClusterTr
 
 
 def prune_steps(tree: ClusterTree, k: int) -> ClusterTree | None:
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise ValueError("k must be an integer >= 0")
+    _require_natural(k, "k")
     current: ClusterTree | None = tree
     for _ in range(k):
         if current is None:
@@ -198,6 +197,7 @@ def prune_trace(
     max_stages: int = 32,
 ) -> list[PruneReport]:
     """Node counts along successive passes, until empty or out of budget."""
+    _require_natural(max_stages, "max_stages")
     current = _as_forest(forest)
     reports: list[PruneReport] = []
     for stage in range(1, max_stages + 1):
@@ -222,6 +222,7 @@ def char_by_pruning(
     the survivors form a finite set, and its size is the count.  Roots of
     infinite rank would survive every finite stage, so they are refused.
     """
+    _require_natural(stage_cap, "stage_cap")
     current = _as_forest(forest)
     for t in current:
         if not t.rank.is_finite:
@@ -502,10 +503,9 @@ def restriction_check(
     the whole stage's sorted survivors plus a set comparison.
     """
     m = len(tree.children)
-    if not isinstance(n, int) or isinstance(n, bool) or not 0 <= n < m:
+    if not (_is_natural(n) and n < m):
         raise AnnulusIndexError(f"annulus index {n} outside 0..{m - 1}")
-    if not isinstance(beta, int) or isinstance(beta, bool) or beta < 0:
-        raise ValueError("beta must be an integer >= 0")
+    _require_natural(beta, "beta")
     z = tree.center
     d_n = abs(tree.children[n].center - z)
     d_next = (

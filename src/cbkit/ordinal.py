@@ -18,8 +18,9 @@ so ``w^(w)*2+w*3+5`` denotes ``w^w * 2 + w * 3 + 5``.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from typing import NoReturn
+from typing import Callable, NoReturn
 
 __all__ = [
     "Ordinal",
@@ -30,6 +31,7 @@ __all__ = [
     "NotCanonicalError",
     "SubtractionUndefinedError",
     "NotLimitError",
+    "PrintBudgetError",
     "cmp",
     "add",
     "mul",
@@ -62,6 +64,33 @@ class NotLimitError(ValueError):
     """Fundamental sequences exist only for nonzero limit ordinals."""
 
 
+class PrintBudgetError(RuntimeError):
+    """A result holds an integer longer than Python converts to text."""
+
+    def __init__(self) -> None:
+        super().__init__(f"an integer of the result has more than {sys.get_int_max_str_digits()} digits")
+
+
+def _is_natural(value: object, least: int = 0) -> bool:
+    """The natural number rule: an int, not a bool, at least `least`."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+def _require_natural(value: object, name: str, least: int = 0) -> None:
+    if not _is_natural(value, least):
+        raise ValueError(f"{name} must be an integer >= {least}")
+
+
+def _operator(op: Callable[[Ordinal, Ordinal], object]) -> Callable[[Ordinal, object], object]:
+    """A binary method of Ordinal: op on the coerced operand, or NotImplemented."""
+
+    def method(self: Ordinal, other: object):
+        coerced = _coerce(other)
+        return NotImplemented if coerced is None else op(self, coerced)
+
+    return method
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class Ordinal:
     """A countable ordinal below epsilon-zero, in Cantor normal form."""
@@ -76,16 +105,14 @@ class Ordinal:
             exponent, coefficient = term
             if not isinstance(exponent, Ordinal):
                 raise TypeError("exponents must be Ordinal values")
-            if not isinstance(coefficient, int) or isinstance(coefficient, bool) or coefficient < 1:
-                raise ValueError("coefficients must be integers >= 1")
+            _require_natural(coefficient, "coefficient", 1)
             if prev is not None and cmp(exponent, prev) >= 0:
                 raise ValueError("exponents must be strictly decreasing")
             prev = exponent
 
     @classmethod
     def from_int(cls, n: int) -> "Ordinal":
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise ValueError(f"not a natural number: {n!r}")
+        _require_natural(n, "n")
         return cls() if n == 0 else cls(((ZERO, n),))
 
     @property
@@ -128,47 +155,22 @@ class Ordinal:
         return self.terms == coerced.terms
 
     def __hash__(self) -> int:
-        return hash(self.terms)
+        # a finite ordinal hashes as its int, since the two compare equal
+        terms = self.terms
+        if not terms:
+            return 0
+        if len(terms) == 1 and not terms[0][0].terms:
+            return hash(terms[0][1])
+        return hash(terms)
 
-    def __lt__(self, other: object):
-        coerced = _coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return cmp(self, coerced) < 0
-
-    def __le__(self, other: object):
-        coerced = _coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return cmp(self, coerced) <= 0
-
-    def __gt__(self, other: object):
-        coerced = _coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return cmp(self, coerced) > 0
-
-    def __ge__(self, other: object):
-        coerced = _coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return cmp(self, coerced) >= 0
-
-    def __add__(self, other: object):
-        coerced = _coerce(other)
-        return NotImplemented if coerced is None else add(self, coerced)
-
-    def __radd__(self, other: object):
-        coerced = _coerce(other)
-        return NotImplemented if coerced is None else add(coerced, self)
-
-    def __mul__(self, other: object):
-        coerced = _coerce(other)
-        return NotImplemented if coerced is None else mul(self, coerced)
-
-    def __rmul__(self, other: object):
-        coerced = _coerce(other)
-        return NotImplemented if coerced is None else mul(coerced, self)
+    __lt__ = _operator(lambda a, b: cmp(a, b) < 0)
+    __le__ = _operator(lambda a, b: cmp(a, b) <= 0)
+    __gt__ = _operator(lambda a, b: cmp(a, b) > 0)
+    __ge__ = _operator(lambda a, b: cmp(a, b) >= 0)
+    __add__ = _operator(lambda a, b: add(a, b))
+    __radd__ = _operator(lambda a, b: add(b, a))
+    __mul__ = _operator(lambda a, b: mul(a, b))
+    __rmul__ = _operator(lambda a, b: mul(b, a))
 
     def __str__(self) -> str:
         return format_ordinal(self)
@@ -178,9 +180,10 @@ class Ordinal:
 
 
 def _coerce(value: object) -> Ordinal | None:
+    """The ordinal operand rule: an Ordinal, or a natural number read as one."""
     if isinstance(value, Ordinal):
         return value
-    if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
+    if _is_natural(value):
         return Ordinal.from_int(value)
     return None
 
@@ -281,8 +284,7 @@ def fundamental_seq(lam: Ordinal | int, n: int) -> Ordinal:
     for limit exponents m.  Hence w[n] = n+1 and w^(w)[2] = w^(3).
     """
     lam = _require(lam)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"index must be a natural number: {n!r}")
+    _require_natural(n, "index")
     if not lam.is_limit:
         raise NotLimitError(f"not a nonzero limit ordinal: {lam}")
     head, (exponent, coefficient) = lam.terms[:-1], lam.terms[-1]
@@ -304,6 +306,9 @@ OMEGA = Ordinal(((ONE, 1),))
 # the parser itself recurse once per level, so the input must not set the
 # recursion depth.
 MAX_EXPONENT_NESTING = 100
+
+# ASCII only: str.isdigit also passes digits that int refuses, such as "\u00b2"
+_DIGITS = frozenset("0123456789")
 
 
 class _Parser:
@@ -332,11 +337,14 @@ class _Parser:
     def _nat(self) -> int:
         self._skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos == start:
             self._error("expected a number")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # longer than Python converts to an int
+            self._error("number too long")
 
     def _term(self) -> tuple[Ordinal, int, int, bool]:
         self._skip_ws()
@@ -359,7 +367,7 @@ class _Parser:
                 self.pos += 1
                 coefficient = self._nat()
             return exponent, coefficient, start, False
-        if ch is not None and ch.isdigit():
+        if ch is not None and ch in _DIGITS:
             return ZERO, self._nat(), start, True
         self._error("expected 'w' or a number")
 
@@ -411,10 +419,13 @@ def format_ordinal(a: Ordinal | int) -> str:
     if not a.terms:
         return "0"
     parts = []
-    for exponent, coefficient in a.terms:
-        if exponent.is_zero:
-            parts.append(str(coefficient))
-            continue
-        base = "w" if exponent == ONE else f"w^({format_ordinal(exponent)})"
-        parts.append(base if coefficient == 1 else f"{base}*{coefficient}")
+    try:
+        for exponent, coefficient in a.terms:
+            if exponent.is_zero:
+                parts.append(str(coefficient))
+                continue
+            base = "w" if exponent == ONE else f"w^({format_ordinal(exponent)})"
+            parts.append(base if coefficient == 1 else f"{base}*{coefficient}")
+    except ValueError:  # a coefficient longer than Python converts to text
+        raise PrintBudgetError() from None
     return "+".join(parts)

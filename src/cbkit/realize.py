@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .ordinal import Ordinal, ZERO, format_ordinal, fundamental_seq, parse_ordinal
+from .ordinal import Ordinal, ZERO, _is_natural, _require_natural, format_ordinal, fundamental_seq, parse_ordinal
 
 __all__ = [
     "SUCCESSOR",
@@ -60,6 +60,8 @@ __all__ = [
     "dump_forest",
     "load_forest",
     "MAX_TREE_DEPTH",
+    "MAX_REALIZE_NODES",
+    "NodeBudgetError",
     "parse_config_file",
 ]
 
@@ -70,6 +72,10 @@ class InvalidRadiusError(ValueError):
 
 class TreeInvariantError(ValueError):
     """A cluster tree violates its structural or geometric invariants."""
+
+
+class NodeBudgetError(RuntimeError):
+    """A realization would build more than MAX_REALIZE_NODES nodes."""
 
 
 SUCCESSOR = "successor"
@@ -91,18 +97,12 @@ class RealizationConfig:
     max_depth: int = 6
 
     def __post_init__(self) -> None:
-        if (
-            not isinstance(self.children_per_node, int)
-            or isinstance(self.children_per_node, bool)
-            or self.children_per_node < 2
-        ):
-            raise ValueError("children_per_node must be an integer >= 2")
+        _require_natural(self.children_per_node, "children_per_node", 2)
         if self.radius_schedule not in SCHEDULE_BASES:
             raise ValueError(f"unknown radius schedule: {self.radius_schedule!r}")
         if self.side_rule not in _SIDE_SIGNS:
             raise ValueError(f"unknown side rule: {self.side_rule!r}")
-        if not isinstance(self.max_depth, int) or isinstance(self.max_depth, bool) or self.max_depth < 0:
-            raise ValueError("max_depth must be an integer >= 0")
+        _require_natural(self.max_depth, "max_depth")
 
 
 DEFAULT_CONFIG = RealizationConfig()
@@ -116,8 +116,7 @@ class TailSpec:
     generator: str
 
     def __post_init__(self) -> None:
-        if not isinstance(self.next_index, int) or isinstance(self.next_index, bool) or self.next_index < 0:
-            raise ValueError("next_index must be an integer >= 0")
+        _require_natural(self.next_index, "next_index")
         if self.generator not in (SUCCESSOR, LIMIT):
             raise ValueError(f"unknown generator: {self.generator!r}")
 
@@ -231,10 +230,57 @@ def realize_multi(alpha: Ordinal, p: int, cfg: RealizationConfig = DEFAULT_CONFI
     Centers one unit apart admit a common ball radius of half the least
     pairwise distance, so the clusters cannot interact.
     """
-    if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-        raise ValueError("p must be an integer >= 1")
+    _require_natural(p, "p", 1)
     radius = Fraction(1, 2)
     return [realize_cluster(Fraction(k), radius, alpha, cfg) for k in range(p)]
+
+
+# Most nodes one `cbkit realize` may build.  A node costs about 0.6 kB in
+# memory and 0.4 kB of tree JSON; the largest forest of the acceptance grid,
+# `w^(2)+w -p 4`, has 21,588 nodes.
+MAX_REALIZE_NODES = 1_000_000
+
+
+def _check_node_budget(alpha: Ordinal, p: int, cfg: RealizationConfig) -> None:
+    """Raise NodeBudgetError if realize_multi(alpha, p, cfg) would build more than MAX_REALIZE_NODES nodes.
+
+    Nothing is built.  The full-tree bound p * (1 + m + ... + m^depth)
+    settles most calls.  Past the cap the nodes are counted exactly, one
+    level at a time with each distinct rank of a level once, and the count
+    stops as soon as it passes the cap.
+    """
+    m, cap = cfg.children_per_node, MAX_REALIZE_NODES
+    total, width = 0, p
+    for _ in range(cfg.max_depth + 1):
+        total += width
+        if total > cap:
+            break
+        width *= m
+    else:
+        return
+    total, depth_left = p, cfg.max_depth
+    level = {alpha: p}  # rank -> nodes of that rank on the level
+    while total <= cap and level and depth_left:
+        below: dict[Ordinal, int] = {}
+        for rank, count in level.items():
+            if rank.is_zero:
+                continue
+            total += count * m
+            if depth_left == 1:
+                continue
+            if rank.is_successor:
+                below[rank.pred()] = below.get(rank.pred(), 0) + count * m
+            elif total + count * m * m > cap:
+                # each child of a limit rank has m children of its own
+                total += count * m * m
+                break
+            else:
+                for n in range(m):
+                    child = fundamental_seq(rank, n)
+                    below[child] = below.get(child, 0) + count
+        level, depth_left = below, depth_left - 1
+    if total > cap:
+        raise NodeBudgetError(f"realization would build more than {cap} nodes")
 
 
 def embed_ordinal(alpha: Ordinal, cfg: RealizationConfig = DEFAULT_CONFIG) -> ClusterTree:
@@ -255,6 +301,8 @@ def materialize_tail_child(
     """Generate ideal child `index` of a node from its tail rule."""
     if node.tail is None:
         raise ValueError("leaf nodes have no tail to materialize from")
+    _require_natural(index, "index")
+    _require_natural(depth, "depth")
     if index < node.tail.next_index:
         raise ValueError(
             f"child {index} is below the tail start {node.tail.next_index}"
@@ -268,8 +316,7 @@ def extend_children(node: ClusterTree, count: int, cfg: RealizationConfig = DEFA
     """Materialize `count` further tail children into the prefix."""
     if node.tail is None:
         raise ValueError("leaf nodes have no tail to extend")
-    if count < 0:
-        raise ValueError("count must be >= 0")
+    _require_natural(count, "count")
     kids = list(node.children)
     start = node.tail.next_index
     for index in range(start, start + count):
@@ -301,7 +348,7 @@ def _collect(node: ClusterTree, path: str, depth: int, depth_budget: int, width_
 
 
 def _check_budgets(depth_budget: int, width_budget: int) -> None:
-    if depth_budget < 1 or width_budget < 1:
+    if not (_is_natural(depth_budget, 1) and _is_natural(width_budget, 1)):
         raise ValueError("budgets must be >= 1")
 
 
@@ -389,8 +436,9 @@ def fraction_to_text(q: Fraction) -> str:
 
 
 def fraction_from_text(text: str) -> Fraction:
-    if not isinstance(text, str):
-        raise ValueError("expected a fraction string")
+    # an exponent ("1e999999999") would make Fraction build its power of ten
+    if not isinstance(text, str) or "e" in text or "E" in text:
+        raise ValueError(f"not a rational number: {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -545,12 +593,8 @@ def load_forest(path: str | Path, strict: bool = False) -> tuple[ClusterTree, ..
     return (_tree_from_obj(data, strict, ranks, 0),)
 
 
-_CONFIG_KEYS = {
-    "children_per_node": int,
-    "radius_schedule": str,
-    "side_rule": str,
-    "max_depth": int,
-}
+# config key -> caster, read off the type of each field's default
+_CONFIG_KEYS = {f.name: type(f.default) for f in fields(RealizationConfig)}
 
 
 def parse_config_file(path: str | Path) -> RealizationConfig:

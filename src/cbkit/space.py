@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ordinal import ONE, ZERO, Ordinal, cmp, format_ordinal, left_sub, parse_ordinal
+from .ordinal import ONE, ZERO, Ordinal, _require, _require_natural, cmp, format_ordinal, left_sub, parse_ordinal
 
 __all__ = [
     "CbChar",
@@ -46,8 +46,7 @@ class CbChar:
     def __post_init__(self) -> None:
         if not isinstance(self.rank, Ordinal):
             raise TypeError("rank must be an Ordinal")
-        if not isinstance(self.count, int) or isinstance(self.count, bool) or self.count < 0:
-            raise ValueError("count must be an integer >= 0")
+        _require_natural(self.count, "count")
         if self.count == 0 and not self.rank.is_zero:
             raise ValueError("only the empty class may have count 0")
 
@@ -60,7 +59,7 @@ EMPTY_CLASS = CbChar(ZERO, 0)
 
 def derivative_steps(s: CbChar, beta: Ordinal | int) -> CbChar:
     """Class of the beta-th iterated derived set of a space of class s."""
-    beta = beta if isinstance(beta, Ordinal) else Ordinal.from_int(beta)
+    beta = _require(beta)
     if beta.is_zero:
         return s
     c = cmp(beta, s.rank)
@@ -108,11 +107,11 @@ def census(
     explicit max_ranks truncation.  Enumerations larger than size_cap
     raise CensusBudgetError.
     """
-    rank_bound = rank_bound if isinstance(rank_bound, Ordinal) else Ordinal.from_int(rank_bound)
-    if not isinstance(count_bound, int) or isinstance(count_bound, bool) or count_bound < 0:
-        raise ValueError("count_bound must be an integer >= 0")
-    if max_ranks is not None and max_ranks < 0:
-        raise ValueError("max_ranks must be >= 0")
+    rank_bound = _require(rank_bound)
+    _require_natural(count_bound, "count_bound")
+    if max_ranks is not None:
+        _require_natural(max_ranks, "max_ranks")
+    _require_natural(size_cap, "size_cap")
     if rank_bound.is_zero:
         return []
     if rank_bound.is_finite:
@@ -148,8 +147,7 @@ class Cardinality:
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown cardinality kind: {self.kind!r}")
         if self.kind == "finite":
-            if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 0:
-                raise ValueError("finite cardinality needs an integer n >= 0")
+            _require_natural(self.n, "n")
         elif self.n is not None:
             raise ValueError("only finite cardinalities carry a number")
 
@@ -192,8 +190,7 @@ class AmbientDescriptor:
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown ambient kind: {self.kind!r}")
         if self.kind == "finite":
-            if not isinstance(self.size, int) or isinstance(self.size, bool) or self.size < 0:
-                raise ValueError("finite ambient needs an integer size >= 0")
+            _require_natural(self.size, "size")
         elif self.size is not None:
             raise ValueError("only finite ambients carry a size")
 

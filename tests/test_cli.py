@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cbkit.cli import main
+from cbkit.cli import _build_parser, _config_from_args, main
 from cbkit.oracle import MAX_SCALE_BITS
 from cbkit.ordinal import parse_ordinal
 from cbkit.realize import (
@@ -442,3 +442,106 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# ------------------------------------------------------------ outputs, budgets
+
+
+@pytest.mark.parametrize(
+    "out, points",
+    [("x.json", "nodir/p.csv"), ("nodir/x.json", "p.csv"), (None, "nodir/p.csv")],
+    ids=["bad-points", "bad-out", "stdout-bad-points"],
+)
+def test_realize_failed_open_writes_nothing(capsys, tmp_path, out, points):
+    argv = ["realize", "1", "--points", str(tmp_path / points)]
+    if out is not None:
+        argv += ["--out", str(tmp_path / out)]
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert err.startswith("cbkit: error: [Errno 2] No such file or directory")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_realize_node_budget_exits_3(capsys, tmp_path, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("realize_multi called past the node budget")
+
+    monkeypatch.setattr("cbkit.cli.realize_multi", never)
+    out = tmp_path / "t.json"
+    code, stdout, err = run(capsys, "realize", "20", "-m", "3", "--depth", "20", "--out", str(out))
+    assert (code, stdout) == (3, "")
+    assert err == "cbkit: NodeBudgetExceeded: realization would build more than 1000000 nodes\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_ord_print_budget_exits_3(capsys):
+    digits = sys.get_int_max_str_digits()
+    half = "9" * (digits // 2 + 50)  # parses; its square has more than the limit's digits
+    code, out, err = run(capsys, "ord", "mul", half, half)
+    assert (code, out) == (3, "")
+    assert err == f"cbkit: PrintBudgetExceeded: an integer of the result has more than {digits} digits\n"
+    code, out, err = run(capsys, "ord", "mul", "9" * (digits + 1), "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("cbkit: error: number too long")
+
+
+def test_space_union_print_budget_exits_3(capsys, tmp_path):
+    a = tmp_path / "a.json"
+    a.write_text('{"rank": "w", "count": %s}' % ("9" * sys.get_int_max_str_digits()))
+    code, out, err = run(capsys, "space", "union", str(a), str(a))
+    assert (code, out) == (3, "")
+    assert err.startswith("cbkit: PrintBudgetExceeded: ")
+
+
+def test_config_flags_set_the_config_fields():
+    args = _build_parser().parse_args(
+        ["realize", "1", "-m", "3", "--depth", "2", "--schedule", "thirds", "--side", "left"]
+    )
+    assert _config_from_args(args) == RealizationConfig(3, "thirds", "left", 2)
+    args = _build_parser().parse_args(["verify", "t.json", "--depth", "1"])
+    assert _config_from_args(args) == RealizationConfig(max_depth=1)
+
+
+def test_verify_thirds_tree_without_schedule_reports_restriction(capsys, tmp_path):
+    out = tmp_path / "t.json"
+    assert run(capsys, "realize", "2", "--schedule", "thirds", "--out", str(out))[0] == 0
+    code, report_text, _ = run(capsys, "verify", str(out))
+    assert code == 1
+    assert json.loads(report_text)["failures"] == [
+        "restriction[0]: annulus 3, stage 0",
+        "restriction[0]: annulus 3, stage 1",
+    ]
+    assert run(capsys, "verify", str(out), "--schedule", "thirds")[0] == 0
+
+
+def test_verify_dir_reports_each_budget(capsys, tmp_path):
+    trees = tmp_path / "trees"
+    trees.mkdir()
+    for rank in ("1", "3"):
+        assert run(capsys, "realize", rank, "--out", str(trees / f"r{rank}.json"))[0] == 0
+    code, report_text, err = run(capsys, "verify", str(trees), "--stage-cap", "2")
+    assert code == 3
+    assert err == "cbkit: StageBudgetExceeded: no finite stage within 2 passes\n"
+    first, second = json.loads(report_text)
+    assert first["ok"] is True and first["char_pruned"] == {"rank": "1", "count": 1}
+    assert second == {
+        "tree": str(trees / "r3.json"),
+        "geometry": None,
+        "char_expected": None,
+        "char_pruned": None,
+        "ok": False,
+        "failures": ["budget: StageBudgetExceeded: no finite stage within 2 passes"],
+    }
+
+
+def test_verify_dir_exits_with_the_worst_code(capsys, tmp_path):
+    trees = tmp_path / "trees"
+    trees.mkdir()
+    assert run(capsys, "realize", "1", "--out", str(trees / "a.json"))[0] == 0
+    assert run(capsys, "verify", str(trees))[0] == 0
+    obj = json.loads((trees / "a.json").read_text())
+    obj["rank"] = "2"
+    (trees / "b.json").write_text(json.dumps(obj))
+    assert run(capsys, "verify", str(trees))[0] == 1
+    assert run(capsys, "realize", "3", "--out", str(trees / "c.json"))[0] == 0
+    assert run(capsys, "verify", str(trees), "--stage-cap", "2")[0] == 3

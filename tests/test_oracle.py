@@ -399,3 +399,37 @@ def test_scale_budget():
         geometry_check(past_budget)
     with pytest.raises(ScaleBudgetError):
         restriction_check(past_budget, 0, 0)
+
+
+# ---------------------------------------------------- oracle failure branches
+
+
+def test_prune_rejects_children_past_a_zero_probe():
+    # rank 1: every tail child has rank 0, yet a materialized child has a tail
+    child = ClusterTree(F(1, 2), F(1, 4), ONE, (), TailSpec(0, "successor"))
+    tree = ClusterTree(F(0), F(1), ONE, (child,), TailSpec(1, "successor"))
+    with pytest.raises(TreeInvariantError, match=r"^materialized children outlive the tail probe$"):
+        prune(tree)
+
+
+def test_audit_rejects_rank_zero_node_with_children():
+    tree = ClusterTree(F(0), F(1), ZERO, (ClusterTree(F(1, 2), F(1, 4), ZERO),), None)
+    with pytest.raises(AuditError, match=r"^rank 0 node with children at /$"):
+        audit_rank(tree)
+
+
+def test_audit_rejects_positive_rank_without_tail():
+    with pytest.raises(AuditError, match=r"^positive rank without a tail rule at /$"):
+        audit_rank(ClusterTree(F(0), F(1), ONE))
+
+
+def test_audit_coherence_rejects_successor_child_rank():
+    bad = replace_node(realize_cluster(0, 1, Ordinal.from_int(3)), (0,), rank=ONE)
+    with pytest.raises(AuditError, match=r"^successor child rank 1 at /0$"):
+        audit_rank(bad, exact=False)
+
+
+def test_audit_coherence_rejects_limit_child_not_below():
+    bad = replace_node(realize_cluster(0, 1, OMEGA), (0,), rank=OMEGA)
+    with pytest.raises(AuditError, match=r"^limit child rank w not below parent at /0$"):
+        audit_rank(bad, exact=False)

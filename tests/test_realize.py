@@ -13,6 +13,7 @@ from cbkit.realize import (
     MAX_TREE_DEPTH,
     ClusterTree,
     InvalidRadiusError,
+    NodeBudgetError,
     RealizationConfig,
     TailSpec,
     TreeInvariantError,
@@ -35,6 +36,7 @@ from cbkit.realize import (
     tree_to_json,
     validate_tree,
 )
+from cbkit import realize as realize_module
 from cbkit.oracle import char_by_pruning
 from helpers import chain_obj
 
@@ -374,3 +376,85 @@ def test_parse_config_file(tmp_path):
     path.write_text("just a line\n")
     with pytest.raises(ValueError):
         parse_config_file(path)
+
+
+def test_config_file_keys_are_the_config_fields(tmp_path):
+    path = tmp_path / "r.cfg"
+    path.write_text("children_per_node = 5\nradius_schedule = thirds\nside_rule = left\nmax_depth = 1\n")
+    assert parse_config_file(path) == RealizationConfig(5, "thirds", "left", 1)
+
+
+# ---------------------------------------------------------------- node budget
+
+
+@pytest.mark.parametrize("rank", ["0", "1", "3", "w", "w+2", "w*2", "w^(2)", "w^(w)"])
+@pytest.mark.parametrize("m, depth", [(2, 0), (2, 5), (3, 3), (4, 4)])
+def test_node_budget_counts_exactly(monkeypatch, rank, m, depth):
+    cfg = RealizationConfig(children_per_node=m, max_depth=depth)
+    nodes = sum(t.node_count() for t in realize_multi(P(rank), 2, cfg))
+    monkeypatch.setattr(realize_module, "MAX_REALIZE_NODES", nodes)
+    realize_module._check_node_budget(P(rank), 2, cfg)
+    monkeypatch.setattr(realize_module, "MAX_REALIZE_NODES", nodes - 1)
+    with pytest.raises(NodeBudgetError, match=f"more than {nodes - 1} nodes"):
+        realize_module._check_node_budget(P(rank), 2, cfg)
+
+
+@pytest.mark.parametrize(
+    "rank, p, m, depth",
+    [("20", 1, 3, 20), ("1", 1, 10**9, 10**9), ("w", 1, 10**6, 2), ("w^(w)", 10**7, 2, 0)],
+)
+def test_node_budget_refuses_without_building(rank, p, m, depth):
+    # each would build far more than MAX_REALIZE_NODES nodes
+    with pytest.raises(NodeBudgetError):
+        realize_module._check_node_budget(P(rank), p, RealizationConfig(children_per_node=m, max_depth=depth))
+
+
+def test_node_budget_follows_ranks_past_the_bound():
+    # the full-tree bound 100^6 is far past the cap; rank 1 stops at one level
+    realize_module._check_node_budget(ONE, 1, RealizationConfig(children_per_node=100, max_depth=10**9))
+
+
+# ------------------------------------------------- validation failure branches
+
+
+def _rank_two_root(*children: ClusterTree) -> ClusterTree:
+    return ClusterTree(F(0), F(1), Ordinal.from_int(2), children, TailSpec(len(children), "successor"))
+
+
+def test_validate_rejects_non_rational_geometry():
+    with pytest.raises(TreeInvariantError, match=r"^non-rational geometry at /$"):
+        validate_tree(replace(realize_cluster(0, 1, ONE), center=0))
+
+
+def test_validate_rejects_duplicate_center():
+    # the last child has no lower shell bound, so its ball may hold the
+    # root's center, and a grandchild may sit on it
+    grandchild = ClusterTree(F(0), F(1, 32), ZERO)
+    last = ClusterTree(F(1, 8), F(3, 16), ONE, (grandchild,), TailSpec(1, "successor"))
+    tree = _rank_two_root(ClusterTree(F(1, 2), F(1, 8), ZERO), last)
+    with pytest.raises(TreeInvariantError, match=r"^duplicate center 0 at /1/0$"):
+        validate_tree(tree)
+    with pytest.raises(TreeInvariantError, match=r"^duplicate center 0$"):
+        materialize(tree, 3, 3)
+
+
+def test_validate_rejects_child_on_center():
+    tree = _rank_two_root(ClusterTree(F(0), F(1, 4), ZERO))
+    with pytest.raises(TreeInvariantError, match=r"^child sits on the node center at /0$"):
+        validate_tree(tree)
+
+
+def test_validate_rejects_child_below_next_offset():
+    t = realize_cluster(0, 1, ONE)
+    kids = list(t.children)
+    kids[0] = replace(kids[0], radius=F(3, 8))  # reaches down past child 1 at 1/4
+    with pytest.raises(TreeInvariantError, match=r"^child ball dips below the next offset at /0$"):
+        validate_tree(replace(t, children=tuple(kids)))
+
+
+def test_validate_rejects_child_rank_off_the_recursion():
+    t = realize_cluster(0, 1, Ordinal.from_int(3))
+    kids = list(t.children)
+    kids[0] = replace(kids[0], rank=ONE)
+    with pytest.raises(TreeInvariantError, match=r"^child rank off the recursion at /0$"):
+        validate_tree(replace(t, children=tuple(kids)), cfg=DEFAULT_CONFIG)
