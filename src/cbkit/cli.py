@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import json
 import os
+import stat
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -83,6 +84,10 @@ _DOMAIN_LABELS = {
     NodeBudgetError: "NodeBudgetExceeded",
     PrintBudgetError: "PrintBudgetExceeded",
 }
+
+
+# Exceptions that mean the input was bad (exit 2)
+_BAD_INPUT = (ValueError, KeyError, TypeError, OSError)
 
 
 def _domain_line(exc: Exception) -> str:
@@ -160,20 +165,32 @@ def _config_from_args(args: argparse.Namespace) -> RealizationConfig:
     return replace(cfg, **{k: v for k, v in given.items() if v is not None})
 
 
+def _open_untruncated(path: str, flags: int) -> int:
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 @contextlib.contextmanager
 def _outputs(*paths: str | None):
     """Open every given path for writing, all before the first byte is written.
 
-    Yields one file per path, None where the path is None.  If an open or
-    the run fails, the files this call created are removed again.
+    Yields one file per path, None where the path is None.  An existing
+    regular file is truncated only once every path is open, so a failed
+    open leaves it as it was.  If an open or the run fails, the files this
+    call created are removed again.
     """
     created = [path for path in paths if path is not None and not os.path.exists(path)]
     with contextlib.ExitStack() as stack:
         try:
-            yield [
-                None if path is None else stack.enter_context(open(path, "w", encoding="ascii"))
+            files = [
+                None if path is None
+                else stack.enter_context(open(path, "w", encoding="ascii", opener=_open_untruncated))
                 for path in paths
             ]
+            for f in files:
+                # devices such as /dev/null refuse a truncate
+                if f is not None and stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                    f.truncate()
+            yield files
         except BaseException:
             stack.close()
             for path in created:
@@ -272,6 +289,18 @@ def _verify_file(path: Path, cfg: RealizationConfig, strict: bool, stage_cap: in
     }
 
 
+def _failed_report(path: Path, failure: str) -> dict:
+    """The report of a file no oracle could finish."""
+    return {
+        "tree": str(path),
+        "geometry": None,
+        "char_expected": None,
+        "char_pruned": None,
+        "ok": False,
+        "failures": [failure],
+    }
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     if not _is_natural(args.stage_cap, 1):
         raise ValueError("--stage-cap must be >= 1")
@@ -282,27 +311,23 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         report = _verify_file(target, cfg, strict, args.stage_cap)
         _emit(json.dumps(report, indent=2) + "\n", args.report)
         return 0 if report["ok"] else 1
+    # an exhausted budget or bad input fails its file only; the others
+    # still report, and the exit code is the worst over the files
     reports = []
     code = 0
     for f in sorted(target.glob("*.json")):
         try:
             report = _verify_file(f, cfg, strict, args.stage_cap)
+            file_code = 0 if report["ok"] else 1
         except (StageBudgetError, ScaleBudgetError) as exc:
-            # an exhausted budget fails this file only; the others still report
             line = _domain_line(exc)
             print(f"cbkit: {line}", file=sys.stderr)
-            report = {
-                "tree": str(f),
-                "geometry": None,
-                "char_expected": None,
-                "char_pruned": None,
-                "ok": False,
-                "failures": [f"budget: {line}"],
-            }
-            code = 3
+            report, file_code = _failed_report(f, f"budget: {line}"), 3
+        except _BAD_INPUT as exc:
+            print(f"cbkit: error: {exc}", file=sys.stderr)
+            report, file_code = _failed_report(f, f"input: {exc}"), 2
         reports.append(report)
-        if not report["ok"]:
-            code = max(code, 1)
+        code = max(code, file_code)
     _emit(json.dumps(reports, indent=2) + "\n", args.report)
     return code
 
@@ -407,7 +432,7 @@ def main(argv: list[str] | None = None) -> int:
     except tuple(_DOMAIN_LABELS) as exc:
         print(f"cbkit: {_domain_line(exc)}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, TypeError, OSError) as exc:
+    except _BAD_INPUT as exc:
         print(f"cbkit: error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,15 +3,16 @@
 Pruning is the semantic ground truth here: one pass deletes every
 isolated point of the set a tree denotes, and a node's center survives
 exactly when infinitely many of its ideal children still contribute
-points arbitrarily close to it.  The tail rule makes that decidable
-with a single regenerated probe child.  Tail children of a successor
-node all carry one rank, so the probe speaks for the whole family;
-tail children of a limit node carry ranks climbing to the parent's,
-so they can never be wiped out by finitely many passes and the probe
-(never of rank zero) reports that faithfully.
+points arbitrarily close to it.  The tail rule decides that from the
+node's rank alone.  One derivative takes a rank to the unique g with
+1 + g = rank: a finite rank drops by one and an infinite one stays.
+Tail children of a successor node all carry its predecessor, so they
+are isolated points exactly when the rank is 1; tail children of a
+limit node carry ranks climbing to the parent's and never vanish.
+Either way the tail family is gone exactly when the derived rank is 0.
 
 Pruned trees stay annotated: each pass rewrites the rank a node would
-have after one derivative, which keeps later probes honest.  Geometry
+have after one derivative, which the next pass reads.  Geometry
 and rank audits are separate lenses over the same trees and share no
 code with pruning beyond the tree type itself.
 
@@ -118,12 +119,11 @@ def prune(tree: ClusterTree) -> ClusterTree | None:
     return _prune(tree, {})
 
 
-def _prune(tree: ClusterTree, probes: dict[tuple[Ordinal, str, int], tuple[bool, Ordinal]]) -> ClusterTree | None:
+def _prune(tree: ClusterTree, derived: dict[tuple[Ordinal, str], Ordinal]) -> ClusterTree | None:
     """prune, with the rank arithmetic of one call shared across its nodes.
 
-    probes maps (rank, generator, next_index) to whether the tail probe
-    has rank zero and the node's rank after one derivative; nodes of one
-    tree repeat few distinct keys.
+    derived maps (rank, generator) to the rank after one derivative;
+    nodes of one tree repeat few distinct keys.
     """
     memo = tree.__dict__
     if _PRUNED in memo:
@@ -133,30 +133,24 @@ def _prune(tree: ClusterTree, probes: dict[tuple[Ordinal, str, int], tuple[bool,
     tail = tree.tail
     if tail is None:
         raise TreeInvariantError("interior node without a tail rule")
-    key = (tree.rank, tail.generator, tail.next_index)
-    probe = probes.get(key)
-    if probe is None:
+    key = (tree.rank, tail.generator)
+    rank = derived.get(key)
+    if rank is None:
         if tree.rank.is_zero or tail.generator != generator_for(tree.rank):
             raise TreeInvariantError("tail generator disagrees with rank")
-        # one derivative drops a finite rank by one and fixes an infinite
-        # one: the unique g with 1 + g = rank
-        probe = probes[key] = (
-            child_rank(tree.rank, tail.generator, tail.next_index).is_zero,
-            left_sub(ONE, tree.rank),
-        )
+        rank = derived[key] = left_sub(ONE, tree.rank)
     # leaves vanish; every other node yields a tree or raises
     kept = tuple(
-        [_prune(c, probes) for c in tree.children if c.children or c.tail is not None]
+        [_prune(c, derived) for c in tree.children if c.children or c.tail is not None]
     )
-    probe_is_zero, pruned_rank = probe
-    if probe_is_zero:
+    if rank.is_zero:
         if kept:
             raise TreeInvariantError("materialized children outlive the tail probe")
         # every ideal child was an isolated point; the center remains,
         # now isolated itself
         result = ClusterTree(tree.center, tree.radius, ZERO)
     else:
-        result = ClusterTree(tree.center, tree.radius, pruned_rank, kept, tail)
+        result = ClusterTree(tree.center, tree.radius, rank, kept, tail)
     memo[_PRUNED] = result
     return result
 

@@ -106,7 +106,7 @@ class Ordinal:
             if not isinstance(exponent, Ordinal):
                 raise TypeError("exponents must be Ordinal values")
             _require_natural(coefficient, "coefficient", 1)
-            if prev is not None and cmp(exponent, prev) >= 0:
+            if prev is not None and exponent.terms >= prev.terms:
                 raise ValueError("exponents must be strictly decreasing")
             prev = exponent
 
@@ -163,10 +163,13 @@ class Ordinal:
             return hash(terms[0][1])
         return hash(terms)
 
-    __lt__ = _operator(lambda a, b: cmp(a, b) < 0)
-    __le__ = _operator(lambda a, b: cmp(a, b) <= 0)
-    __gt__ = _operator(lambda a, b: cmp(a, b) > 0)
-    __ge__ = _operator(lambda a, b: cmp(a, b) >= 0)
+    # the order of normal forms is the tuple order of their terms: a larger
+    # leading exponent wins, then a larger coefficient, then the next term,
+    # and a proper prefix is smaller; exponents compare by the same rule
+    __lt__ = _operator(lambda a, b: a.terms < b.terms)
+    __le__ = _operator(lambda a, b: a.terms <= b.terms)
+    __gt__ = _operator(lambda a, b: a.terms > b.terms)
+    __ge__ = _operator(lambda a, b: a.terms >= b.terms)
     __add__ = _operator(lambda a, b: add(a, b))
     __radd__ = _operator(lambda a, b: add(b, a))
     __mul__ = _operator(lambda a, b: mul(a, b))
@@ -197,16 +200,8 @@ def _require(value: object) -> Ordinal:
 
 def cmp(a: Ordinal | int, b: Ordinal | int) -> int:
     """Trichotomy on ordinals: -1, 0 or 1 as a <, = or > b."""
-    a, b = _require(a), _require(b)
-    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        c = cmp(ea, eb)
-        if c != 0:
-            return c
-        if ca != cb:
-            return -1 if ca < cb else 1
-    if len(a.terms) == len(b.terms):
-        return 0
-    return -1 if len(a.terms) < len(b.terms) else 1
+    ta, tb = _require(a).terms, _require(b).terms
+    return 0 if ta == tb else -1 if ta < tb else 1
 
 
 def add(a: Ordinal | int, b: Ordinal | int) -> Ordinal:
@@ -220,10 +215,9 @@ def add(a: Ordinal | int, b: Ordinal | int) -> Ordinal:
     head: list[tuple[Ordinal, int]] = []
     merged = False
     for exponent, coefficient in a.terms:
-        c = cmp(exponent, lead)
-        if c > 0:
+        if exponent.terms > lead.terms:
             head.append((exponent, coefficient))
-        elif c == 0:
+        elif exponent.terms == lead.terms:
             head.append((lead, coefficient + b.terms[0][1]))
             merged = True
             break
@@ -261,10 +255,9 @@ def left_sub(b: Ordinal | int, a: Ordinal | int) -> Ordinal:
     i = 0
     while i < len(b.terms) and i < len(a.terms):
         (be, bc), (ae, ac) = b.terms[i], a.terms[i]
-        c = cmp(be, ae)
-        if c > 0:
+        if be.terms > ae.terms:
             raise SubtractionUndefinedError(f"{b} > {a}")
-        if c < 0:
+        if be.terms < ae.terms:
             return Ordinal(a.terms[i:])
         if bc < ac:
             return Ordinal(((ae, ac - bc),) + a.terms[i + 1 :])
@@ -388,7 +381,7 @@ class _Parser:
         for exponent, coefficient, position, _ in items:
             if coefficient == 0:
                 raise NotCanonicalError("zero coefficient", position)
-            if prev is not None and cmp(exponent, prev) >= 0:
+            if prev is not None and exponent.terms >= prev.terms:
                 raise NotCanonicalError("terms not strictly decreasing", position)
             prev = exponent
         return Ordinal(tuple((e, c) for e, c, _, _ in items))

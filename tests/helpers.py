@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 from hypothesis import strategies as st
 
 from cbkit.ordinal import ONE, ZERO, Ordinal
 from cbkit.realize import DEFAULT_CONFIG, ClusterTree, realize_cluster
 from cbkit.space import CbChar, derivative_steps
+import ordinal_reference
 
 
 def cnf_from_pairs(pairs: dict[int, int]) -> Ordinal:
@@ -28,6 +30,34 @@ st_ordinal = st.dictionaries(
 ).map(cnf_from_pairs)
 
 st_limit_ordinal = st_ordinal.filter(lambda a: a.is_limit)
+
+
+def _normal_form(pairs: list[tuple[Ordinal, int]]) -> Ordinal:
+    """The ordinal of raw terms: exponents sorted down, one term each.
+
+    Sorting uses the reference order, so the order under test builds none
+    of the values it is then tested on.
+    """
+    key = cmp_to_key(ordinal_reference.cmp)
+    terms: list[tuple[Ordinal, int]] = []
+    for e, c in sorted(pairs, key=lambda t: key(t[0]), reverse=True):
+        if not terms or ordinal_reference.cmp(terms[-1][0], e) != 0:
+            terms.append((e, c))
+    return Ordinal(tuple(terms))
+
+
+def _raw_terms(exponents: st.SearchStrategy[Ordinal]) -> st.SearchStrategy[list[tuple[Ordinal, int]]]:
+    return st.lists(st.tuples(exponents, st.integers(min_value=1, max_value=3)), max_size=3)
+
+
+# ordinals whose exponents are themselves infinite, nested up to three
+# levels: w^(w^(w^(2))) is the deepest kind; small exponents and
+# coefficients make equal exponents and shared prefixes common
+_below_w3 = _raw_terms(st.integers(min_value=0, max_value=2).map(Ordinal.from_int)).map(_normal_form)
+_nested_2 = _raw_terms(_below_w3).map(_normal_form)
+st_nested_ordinal = _raw_terms(_nested_2).map(_normal_form)
+# term lists over nested exponents, in normal form or not
+st_nested_terms = _raw_terms(_nested_2) | st_nested_ordinal.map(lambda a: list(a.terms))
 
 st_char = st.tuples(st_ordinal, st.integers(min_value=1, max_value=5)).map(
     lambda t: CbChar(*t)

@@ -8,14 +8,36 @@ restriction claims; `cbkit.oracle` answers the same questions from
 scaled-integer summaries, and the differential tests require identical
 reports.  Pruning itself is shared: it is the ground truth both readings
 are stated in.
+
+`prune` and `char_by_pruning` are the probe-based reading of one
+derivative: each node regenerates its first tail child and asks whether
+that child has rank zero.  `cbkit.oracle` reads the same fact off the
+rank after one derivative.  These copies keep no memo on the trees.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from cbkit.oracle import AnnulusCheck, AnnulusIndexError, GeometryReport, prune_steps
-from cbkit.realize import DEFAULT_CONFIG, ClusterTree, RealizationConfig, scheduled_radius
+from cbkit.oracle import (
+    AnnulusCheck,
+    AnnulusIndexError,
+    GeometryReport,
+    InfiniteRankError,
+    StageBudgetError,
+    prune_steps,
+)
+from cbkit.ordinal import ONE, ZERO, Ordinal, left_sub
+from cbkit.realize import (
+    DEFAULT_CONFIG,
+    ClusterTree,
+    RealizationConfig,
+    TreeInvariantError,
+    child_rank,
+    generator_for,
+    scheduled_radius,
+)
+from cbkit.space import EMPTY_CLASS, CbChar
 
 
 def _child_path(parent: str, index: int) -> str:
@@ -112,3 +134,53 @@ def restriction_check(
     whole = _surviving_centers(prune_steps(tree, beta))
     right = {p for p in whole if abs(p - z) >= bound}
     return left == right
+
+
+def prune(tree: ClusterTree) -> ClusterTree | None:
+    """One derivative pass: None when the whole subtree is isolated points."""
+    return _prune(tree, {})
+
+
+def _prune(tree: ClusterTree, probes: dict) -> ClusterTree | None:
+    if tree.is_leaf:
+        return None
+    tail = tree.tail
+    if tail is None:
+        raise TreeInvariantError("interior node without a tail rule")
+    key = (tree.rank, tail.generator, tail.next_index)
+    probe = probes.get(key)
+    if probe is None:
+        if tree.rank.is_zero or tail.generator != generator_for(tree.rank):
+            raise TreeInvariantError("tail generator disagrees with rank")
+        probe = probes[key] = (
+            child_rank(tree.rank, tail.generator, tail.next_index).is_zero,
+            left_sub(ONE, tree.rank),
+        )
+    kept = tuple(_prune(c, probes) for c in tree.children if c.children or c.tail is not None)
+    probe_is_zero, pruned_rank = probe
+    if probe_is_zero:
+        if kept:
+            raise TreeInvariantError("materialized children outlive the tail probe")
+        return ClusterTree(tree.center, tree.radius, ZERO)
+    return ClusterTree(tree.center, tree.radius, pruned_rank, kept, tail)
+
+
+def _has_tail(tree: ClusterTree) -> bool:
+    return tree.tail is not None or any(_has_tail(c) for c in tree.children)
+
+
+def char_by_pruning(forest: list[ClusterTree], stage_cap: int = 32) -> CbChar:
+    for t in forest:
+        if not t.rank.is_finite:
+            raise InfiniteRankError(f"root rank {t.rank} is not finite")
+    stage = 0
+    while True:
+        if not any(_has_tail(t) for t in forest):
+            survivors = sum(t.node_count() for t in forest)
+            if survivors == 0:
+                return EMPTY_CLASS
+            return CbChar(Ordinal.from_int(stage), survivors)
+        if stage >= stage_cap:
+            raise StageBudgetError(f"no finite stage within {stage_cap} passes")
+        forest = [p for p in map(prune, forest) if p is not None]
+        stage += 1

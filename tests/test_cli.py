@@ -448,18 +448,39 @@ def test_unknown_subcommand_exits_2():
 
 
 @pytest.mark.parametrize(
-    "out, points",
-    [("x.json", "nodir/p.csv"), ("nodir/x.json", "p.csv"), (None, "nodir/p.csv")],
-    ids=["bad-points", "bad-out", "stdout-bad-points"],
+    "out, points, existing",
+    [
+        ("x.json", "nodir/p.csv", None),
+        ("nodir/x.json", "p.csv", None),
+        (None, "nodir/p.csv", None),
+        ("x.json", "nodir/p.csv", "an older tree\n"),
+        ("/dev/null", "nodir/p.csv", None),
+    ],
+    ids=["bad-points", "bad-out", "stdout-bad-points", "existing-out-bad-points", "devnull-out-bad-points"],
 )
-def test_realize_failed_open_writes_nothing(capsys, tmp_path, out, points):
+def test_realize_failed_open_writes_nothing(capsys, tmp_path, out, points, existing):
+    if existing is not None:
+        (tmp_path / out).write_text(existing)
+    before = {path: path.read_bytes() for path in tmp_path.iterdir()}
     argv = ["realize", "1", "--points", str(tmp_path / points)]
     if out is not None:
         argv += ["--out", str(tmp_path / out)]
     code, stdout, err = run(capsys, *argv)
     assert (code, stdout) == (2, "")
     assert err.startswith("cbkit: error: [Errno 2] No such file or directory")
-    assert list(tmp_path.iterdir()) == []
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+def test_realize_replaces_existing_outputs(capsys, tmp_path):
+    tree, points = tmp_path / "t.json", tmp_path / "p.csv"
+    tree.write_text("x" * 100_000)
+    points.write_text("y" * 100_000)
+    assert run(capsys, "realize", "1", "--out", str(tree), "--points", str(points))[0] == 0
+    code, stdout, _ = run(capsys, "realize", "1")
+    assert code == 0 and tree.read_text() == stdout
+    assert points.read_text().startswith("point,den_path\n") and "y" not in points.read_text()
+    # a device refuses a truncate, yet works as an output
+    assert run(capsys, "realize", "1", "--out", "/dev/null", "--points", str(points))[0] == 0
 
 
 def test_realize_node_budget_exits_3(capsys, tmp_path, monkeypatch):
@@ -545,3 +566,36 @@ def test_verify_dir_exits_with_the_worst_code(capsys, tmp_path):
     assert run(capsys, "verify", str(trees))[0] == 1
     assert run(capsys, "realize", "3", "--out", str(trees / "c.json"))[0] == 0
     assert run(capsys, "verify", str(trees), "--stage-cap", "2")[0] == 3
+
+
+def test_verify_dir_reports_bad_input(capsys, tmp_path):
+    trees = tmp_path / "trees"
+    trees.mkdir()
+    assert run(capsys, "realize", "1", "--out", str(trees / "a.json"))[0] == 0
+    (trees / "b.json").write_text("")
+    (trees / "c.json").write_text('{"center": ')
+    code, report_text, err = run(capsys, "verify", str(trees))
+    assert code == 2
+    empty = "Expecting value: line 1 column 1 (char 0)"
+    malformed = "Expecting value: line 1 column 12 (char 11)"
+    assert err == f"cbkit: error: {empty}\ncbkit: error: {malformed}\n"
+    first, second, third = json.loads(report_text)
+    assert first["ok"] is True and first["tree"] == str(trees / "a.json")
+    for report, name, message in ((second, "b.json", empty), (third, "c.json", malformed)):
+        assert report == {
+            "tree": str(trees / name),
+            "geometry": None,
+            "char_expected": None,
+            "char_pruned": None,
+            "ok": False,
+            "failures": [f"input: {message}"],
+        }
+    # an exhausted budget outranks bad input, wherever the files sort
+    assert run(capsys, "realize", "3", "--out", str(trees / "d.json"))[0] == 0
+    (trees / "e.json").write_text("")
+    code, report_text, _ = run(capsys, "verify", str(trees), "--stage-cap", "2")
+    assert code == 3
+    kinds = [r["failures"][0].split(":")[0] for r in json.loads(report_text)[1:]]
+    assert kinds == ["input", "input", "budget", "input"]
+    # a single bad file still ends the run with no report
+    assert run(capsys, "verify", str(trees / "b.json")) == (2, "", f"cbkit: error: {empty}\n")

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import oracle_reference as reference
 from cbkit.ordinal import ONE, ZERO, parse_ordinal
-from cbkit.realize import ClusterTree, RealizationConfig, TailSpec, realize_cluster
-from cbkit.oracle import geometry_check, restriction_check
+from cbkit.realize import ClusterTree, RealizationConfig, TailSpec, extend_children, realize_cluster
+from cbkit.oracle import char_by_pruning, geometry_check, prune, restriction_check
 
 RANKS = ("0", "1", "2", "3", "w", "w+1", "w*2", "w*2+3", "w^(2)", "w^(2)+w", "w^(w)")
 
@@ -94,6 +94,60 @@ def test_oracles_match_reference(cfg, rank, offset, kinds, data):
             assert outcome(restriction_check, tree, n, beta, cfg) == outcome(
                 reference.restriction_check, tree, n, beta, cfg
             ), (n, beta)
+
+
+PRUNE_RANKS = RANKS + ("4", "w+2", "w^(w)+1", "w^(w+1)", "w^(w^(2))")
+TAIL_CHANGES = ("extended", "next_index", "retyped", "flipped", "tailless")
+
+
+def change_tail(tree: ClusterTree, kind: str, cfg: RealizationConfig, data: st.DataObject) -> ClusterTree:
+    """tree with one node's tail family changed, as the kind says."""
+    nodes = [(p, n) for p, n in preorder_paths(tree) if n.tail is not None]
+    if not nodes:
+        return tree
+    path, node = nodes[data.draw(st.integers(0, len(nodes) - 1), label="node")]
+    if kind == "extended":
+        grown = extend_children(node, data.draw(st.integers(1, 3), label="count"), cfg)
+        return replace_at(tree, path, children=grown.children, tail=grown.tail)
+    if kind == "next_index":
+        index = data.draw(st.integers(0, 8), label="next_index")
+        return replace_at(tree, path, tail=replace(node.tail, next_index=index))
+    if kind == "retyped":
+        return replace_at(tree, path, rank=parse_ordinal(data.draw(st.sampled_from(PRUNE_RANKS), label="rank")))
+    if kind == "flipped":
+        generator = "limit" if node.tail.generator == "successor" else "successor"
+        return replace_at(tree, path, tail=replace(node.tail, generator=generator))
+    return replace_at(tree, path, tail=None) if node.children else tree
+
+
+def pruned_passes(prune_fn, tree: ClusterTree | None, passes: int = 4) -> list:
+    """The trees after each pass until none is left, or the error that ended them."""
+    out = []
+    for _ in range(passes):
+        if tree is None:
+            break
+        kind, tree = outcome(prune_fn, tree)
+        out.append((kind, tree))
+        if kind != "returned":
+            break
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    cfg=st_config,
+    rank=st.sampled_from(PRUNE_RANKS),
+    kinds=st.lists(st.sampled_from(TAIL_CHANGES), max_size=2),
+    data=st.data(),
+)
+def test_pruning_matches_probe_reference(cfg, rank, kinds, data):
+    tree = realize_cluster(Fraction(0), Fraction(1, 2), parse_ordinal(rank), cfg)
+    for kind in kinds:
+        tree = change_tail(tree, kind, cfg, data)
+    assert pruned_passes(prune, tree) == pruned_passes(reference.prune, tree)
+    other = realize_cluster(Fraction(4), Fraction(1, 2), parse_ordinal(data.draw(st.sampled_from(RANKS))), cfg)
+    for forest in ([tree], [tree, other]):
+        assert outcome(lambda f: char_by_pruning(f, stage_cap=6), forest) == outcome(reference.char_by_pruning, forest, 6)
 
 
 def node(center: int, *children: ClusterTree) -> ClusterTree:

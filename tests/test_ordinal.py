@@ -8,6 +8,7 @@ re-asserted against the oracle at test time).
 from __future__ import annotations
 
 import random
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,7 +33,8 @@ from cbkit.ordinal import (
     parse_ordinal,
 )
 from cnf_reference import tadd, tcmp, tmul
-from helpers import random_cnf, st_limit_ordinal, st_ordinal
+from helpers import random_cnf, st_limit_ordinal, st_nested_ordinal, st_nested_terms, st_ordinal
+import ordinal_reference as reference
 
 W2 = omega_pow(Ordinal.from_int(2))
 P = parse_ordinal
@@ -315,3 +317,77 @@ def test_random_cnf_helper_is_canonical():
         a = random_cnf(rng)
         exps = [e for e, _ in a.terms]
         assert exps == sorted(exps, reverse=True)
+
+
+# ------------------------------------------- order against the reference walk
+
+
+def rebuilt(a: Ordinal) -> Ordinal:
+    """An equal ordinal that shares no term object with a."""
+    return Ordinal(tuple((rebuilt(e), c) for e, c in a.terms))
+
+
+def neighbours(a: Ordinal) -> list[Ordinal]:
+    """Values next to a in the order: a copy, a prefix, a changed last coefficient."""
+    out = [rebuilt(a)]
+    if a.terms:
+        (e, c) = a.terms[-1]
+        out.append(Ordinal(a.terms[:-1]))
+        out.append(Ordinal(a.terms[:-1] + ((e, c + 1),)))
+        if c > 1:
+            out.append(Ordinal(a.terms[:-1] + ((e, c - 1),)))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st_nested_ordinal, st_nested_ordinal, st.integers(min_value=0, max_value=3))
+def test_order_matches_reference(a, b, n):
+    finite = Ordinal.from_int(n)
+    for x, y in [(a, b), (b, a), (a, finite), *((a, c) for c in neighbours(a))]:
+        want = reference.cmp(x, y)
+        assert cmp(x, y) == want
+        assert ((x < y), (x <= y), (x > y), (x >= y), (x == y)) == (
+            want < 0, want <= 0, want > 0, want >= 0, want == 0
+        )
+    assert cmp(a, n) == reference.cmp(a, finite)
+    assert (a < n, a <= n, a > n, a >= n, a == n) == (a < finite, a <= finite, a > finite, a >= finite, a == finite)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st_nested_ordinal, max_size=8))
+def test_sorted_matches_reference(values):
+    values = values + [c for v in values[:2] for c in neighbours(v)]
+    by_reference = sorted(values, key=cmp_to_key(reference.cmp))
+    assert [str(v) for v in sorted(values)] == [str(v) for v in by_reference]
+
+
+def term_text(exponent: Ordinal, coefficient: int) -> str:
+    if exponent.is_zero:
+        return str(coefficient)
+    base = "w" if exponent == ONE else f"w^({format_ordinal(exponent)})"
+    return base if coefficient == 1 else f"{base}*{coefficient}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st_nested_terms)
+def test_normal_form_check_matches_reference(terms):
+    decreasing = reference.strictly_decreasing([e for e, _ in terms])
+    if decreasing:
+        value = Ordinal(tuple(terms))
+    else:
+        with pytest.raises(ValueError, match="^exponents must be strictly decreasing$"):
+            Ordinal(tuple(terms))
+    text = "+".join(term_text(e, c) for e, c in terms) or "0"
+    if decreasing:
+        assert parse_ordinal(text, strict=True) == value
+    else:
+        with pytest.raises(NotCanonicalError, match="^terms not strictly decreasing "):
+            parse_ordinal(text, strict=True)
+
+
+def test_order_at_the_deepest_nesting():
+    limit = ordinal.MAX_EXPONENT_NESTING
+    one, two = P(nested(limit)), P("w^(" * limit + "2" + ")" * limit)
+    assert (cmp(one, two), cmp(two, one), cmp(one, P(nested(limit)))) == (-1, 1, 0)
+    assert one < two and two >= one and one != two
+    assert reference.cmp(one, two) == -1
