@@ -211,7 +211,8 @@ def _cmd_realize(args: argparse.Namespace) -> int:
     _check_budgets(depth, width)
     _check_node_budget(alpha, args.p, cfg)
     points = args.points
-    if points is None and args.out is not None:
+    # a device or FIFO --out, such as /dev/null, gets no points beside it
+    if points is None and args.out is not None and (os.path.isfile(args.out) or not os.path.exists(args.out)):
         points = args.out + ".points.csv"
     with _outputs(args.out, points) as (tree_file, points_file):
         forest = realize_multi(alpha, args.p, cfg)
@@ -321,10 +322,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             file_code = 0 if report["ok"] else 1
         except (StageBudgetError, ScaleBudgetError) as exc:
             line = _domain_line(exc)
-            print(f"cbkit: {line}", file=sys.stderr)
+            print(f"cbkit: {f}: {line}", file=sys.stderr)
             report, file_code = _failed_report(f, f"budget: {line}"), 3
         except _BAD_INPUT as exc:
-            print(f"cbkit: error: {exc}", file=sys.stderr)
+            print(f"cbkit: {f}: error: {exc}", file=sys.stderr)
             report, file_code = _failed_report(f, f"input: {exc}"), 2
         reports.append(report)
         code = max(code, file_code)

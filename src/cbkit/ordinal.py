@@ -149,19 +149,26 @@ class Ordinal:
         return bool(self.terms)
 
     def __eq__(self, other: object):
+        if other is self:
+            return True
+        if isinstance(other, Ordinal):
+            return self.terms == other.terms
         coerced = _coerce(other)
         if coerced is None:
             return NotImplemented
         return self.terms == coerced.terms
 
     def __hash__(self) -> int:
-        # a finite ordinal hashes as its int, since the two compare equal
-        terms = self.terms
-        if not terms:
-            return 0
-        if len(terms) == 1 and not terms[0][0].terms:
-            return hash(terms[0][1])
-        return hash(terms)
+        # computed once per object and kept in the instance __dict__
+        memo = self.__dict__
+        value = memo.get(_HASH)
+        if value is None:
+            value = memo[_HASH] = hash(_hash_stand_in(self))
+        return value
+
+    def __getstate__(self) -> dict:
+        # pickles carry the terms only, not the hash memo
+        return {"terms": self.terms}
 
     # the order of normal forms is the tuple order of their terms: a larger
     # leading exponent wins, then a larger coefficient, then the next term,
@@ -180,6 +187,25 @@ class Ordinal:
 
     def __repr__(self) -> str:
         return f'Ordinal("{format_ordinal(self)}")'
+
+
+# Key of the hash memo in an Ordinal's instance __dict__.
+_HASH = "_cbkit_hash"
+
+
+def _hash_stand_in(a: Ordinal) -> object:
+    """A value that hashes as `a` does and holds no Ordinal.
+
+    A finite ordinal hashes as its int, since the two compare equal, and
+    any other as its terms.  Every exponent is replaced by its own stand-in,
+    so hashing the result never calls Ordinal.__hash__ again.
+    """
+    terms = a.terms
+    if not terms:
+        return 0
+    if len(terms) == 1 and not terms[0][0].terms:
+        return terms[0][1]
+    return tuple([(_hash_stand_in(exponent), coefficient) for exponent, coefficient in terms])
 
 
 def _coerce(value: object) -> Ordinal | None:

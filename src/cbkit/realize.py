@@ -23,6 +23,7 @@ import json
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from math import lcm
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -383,16 +384,18 @@ def validate_tree(
     Freshly realized trees satisfy expect_prefix; pruned trees may not,
     since their surviving children keep their original family indices.
     """
-    seen: set[Fraction] = set()
+    # centers as (numerator, denominator), which is canonical for a Fraction
+    seen: set[tuple[int, int]] = set()
 
     def visit(node: ClusterTree, path: str) -> None:
-        if not isinstance(node.center, Fraction) or not isinstance(node.radius, Fraction):
-            raise TreeInvariantError(f"non-rational geometry at {path}")
-        if node.radius <= 0:
+        # the caller has checked that center and radius are Fractions
+        z = node.center
+        if node.radius.numerator <= 0:
             raise TreeInvariantError(f"nonpositive radius at {path}")
-        if node.center in seen:
-            raise TreeInvariantError(f"duplicate center {node.center} at {path}")
-        seen.add(node.center)
+        key = (z.numerator, z.denominator)
+        if key in seen:
+            raise TreeInvariantError(f"duplicate center {z} at {path}")
+        seen.add(key)
         if node.is_leaf != node.rank.is_zero:
             raise TreeInvariantError(f"rank/leaf mismatch at {path}")
         if node.children and node.tail is None:
@@ -403,22 +406,32 @@ def validate_tree(
                 raise TreeInvariantError(f"tail generator disagrees with rank at {path}")
             if expect_prefix and node.tail.next_index != len(node.children):
                 raise TreeInvariantError(f"children are not a tail prefix at {path}")
-        z = node.center
-        dist = [abs(child.center - z) for child in node.children]
-        for i, child in enumerate(node.children):
+        kids = node.children
+        if not kids:
+            return
+        for i, child in enumerate(kids):
+            if not _is_rational(child):
+                raise TreeInvariantError(f"non-rational geometry at {_child_path(path, i)}")
+        # the node's coordinates and its children's on one local integer scale
+        ratios = [q.as_integer_ratio() for q in (z, node.radius)]
+        ratios += [q.as_integer_ratio() for child in kids for q in (child.center, child.radius)]
+        scale = lcm(*[den for _, den in ratios])
+        scaled = [num * (scale // den) for num, den in ratios]
+        zs, upper = scaled[0], scaled[1]
+        centers, radii = scaled[2::2], scaled[3::2]
+        dist = [abs(x - zs) for x in centers]
+        for i, child in enumerate(kids):
             here = _child_path(path, i)
             if dist[i] == 0:
                 raise TreeInvariantError(f"child sits on the node center at {here}")
-            upper = dist[i - 1] if i else node.radius
-            if dist[i] + child.radius > upper:
+            if dist[i] + radii[i] > upper:
                 raise TreeInvariantError(f"child ball escapes its shell at {here}")
             if i + 1 < len(dist):
                 if dist[i + 1] >= dist[i]:
                     raise TreeInvariantError(f"child offsets not strictly decreasing at {here}")
-                if dist[i] - child.radius < dist[i + 1]:
+                if dist[i] - radii[i] < dist[i + 1]:
                     raise TreeInvariantError(f"child ball dips below the next offset at {here}")
-                gap = abs(node.children[i + 1].center - child.center)
-                if gap < child.radius + node.children[i + 1].radius:
+                if abs(centers[i + 1] - centers[i]) < radii[i] + radii[i + 1]:
                     raise TreeInvariantError(f"sibling balls overlap at {here}")
             if cfg is not None:
                 x, eps = child_geometry(cfg, z, node.radius, i)
@@ -427,8 +440,16 @@ def validate_tree(
                 if node.tail is not None and child.rank != child_rank(node.rank, node.tail.generator, i):
                     raise TreeInvariantError(f"child rank off the recursion at {here}")
             visit(child, here)
+            # the next child's shell ends at this child's offset
+            upper = dist[i]
 
+    if not _is_rational(tree):
+        raise TreeInvariantError("non-rational geometry at /")
     visit(tree, "/")
+
+
+def _is_rational(node: ClusterTree) -> bool:
+    return isinstance(node.center, Fraction) and isinstance(node.radius, Fraction)
 
 
 def fraction_to_text(q: Fraction) -> str:
@@ -466,45 +487,66 @@ MAX_TREE_DEPTH = 100
 
 
 def tree_from_obj(obj: dict, strict: bool = False) -> ClusterTree:
-    return _tree_from_obj(obj, strict, {}, 0)
+    return _loader(strict)(obj)
 
 
-def _tree_from_obj(obj: dict, strict: bool, ranks: dict[str, Ordinal], depth: int) -> ClusterTree:
-    """tree_from_obj, parsing each distinct rank text once per load.
+def _loader(strict: bool) -> Callable[[object], ClusterTree]:
+    """tree_from_obj for one load, which shares what repeats across its nodes.
 
-    ranks maps rank text to its value; one load shares it, and strict is
-    fixed for that load.  depth is the node's level below its root.
+    Each distinct rank text is parsed once, each distinct radius text read
+    once, and each distinct tail built once; the nodes share the results.
+    Centers are all distinct, so each is read on its own.  The tables live
+    as long as the returned function.
     """
-    if depth > MAX_TREE_DEPTH:
-        raise ValueError(f"cluster tree deeper than {MAX_TREE_DEPTH} levels")
-    if not isinstance(obj, dict):
-        raise ValueError("cluster tree must be a JSON object")
-    missing = {"center", "radius", "rank", "children", "tail"} - obj.keys()
-    if missing:
-        raise ValueError(f"cluster tree object lacks {sorted(missing)}")
-    text = obj["rank"]
-    if not isinstance(text, str):
-        raise ValueError("rank must be ordinal text")
-    if not isinstance(obj["children"], list):
-        raise ValueError("children must be a list")
-    tail = None
-    if obj["tail"] is not None:
-        spec = obj["tail"]
-        if not isinstance(spec, dict) or {"next_index", "generator"} - spec.keys():
-            raise ValueError("tail must carry next_index and generator")
-        tail = TailSpec(spec["next_index"], spec["generator"])
-    center = fraction_from_text(obj["center"])
-    radius = fraction_from_text(obj["radius"])
-    rank = ranks.get(text)
-    if rank is None:
-        rank = ranks[text] = parse_ordinal(text, strict=strict)
-    return ClusterTree(
-        center,
-        radius,
-        rank,
-        tuple(_tree_from_obj(child, strict, ranks, depth + 1) for child in obj["children"]),
-        tail,
-    )
+    ranks: dict[str, Ordinal] = {}
+    radii: dict[str, Fraction] = {}
+    tails: dict[tuple[int, str], TailSpec] = {}
+
+    def load(obj: object, depth: int = 0) -> ClusterTree:
+        """The tree of obj, whose root is depth levels below its own root."""
+        if depth > MAX_TREE_DEPTH:
+            raise ValueError(f"cluster tree deeper than {MAX_TREE_DEPTH} levels")
+        if not isinstance(obj, dict):
+            raise ValueError("cluster tree must be a JSON object")
+        missing = {"center", "radius", "rank", "children", "tail"} - obj.keys()
+        if missing:
+            raise ValueError(f"cluster tree object lacks {sorted(missing)}")
+        text = obj["rank"]
+        if not isinstance(text, str):
+            raise ValueError("rank must be ordinal text")
+        if not isinstance(obj["children"], list):
+            raise ValueError("children must be a list")
+        tail = None
+        if obj["tail"] is not None:
+            spec = obj["tail"]
+            if not isinstance(spec, dict) or {"next_index", "generator"} - spec.keys():
+                raise ValueError("tail must carry next_index and generator")
+            index, generator = spec["next_index"], spec["generator"]
+            # only an int and a str are shared: true and 1.0 equal 1 and
+            # hash alike, yet TailSpec refuses them
+            key = (index, generator) if type(index) is int and type(generator) is str else None
+            tail = tails.get(key)
+            if tail is None:
+                tail = TailSpec(index, generator)
+                if key is not None:
+                    tails[key] = tail
+        center = fraction_from_text(obj["center"])
+        radius_text = obj["radius"]
+        radius = radii.get(radius_text) if isinstance(radius_text, str) else None
+        if radius is None:
+            radius = radii[radius_text] = fraction_from_text(radius_text)
+        rank = ranks.get(text)
+        if rank is None:
+            rank = ranks[text] = parse_ordinal(text, strict=strict)
+        return ClusterTree(
+            center,
+            radius,
+            rank,
+            tuple([load(child, depth + 1) for child in obj["children"]]),
+            tail,
+        )
+
+    return load
 
 
 def _write_forest(objs: Sequence[dict], write: Callable[[str], object]) -> None:
@@ -587,10 +629,10 @@ def dump_forest(forest: Sequence[ClusterTree], path: str | Path) -> None:
 
 def load_forest(path: str | Path, strict: bool = False) -> tuple[ClusterTree, ...]:
     data = _read_json(Path(path).read_text())
-    ranks: dict[str, Ordinal] = {}
+    load = _loader(strict)
     if isinstance(data, list):
-        return tuple(_tree_from_obj(obj, strict, ranks, 0) for obj in data)
-    return (_tree_from_obj(data, strict, ranks, 0),)
+        return tuple(load(obj) for obj in data)
+    return (load(data),)
 
 
 # config key -> caster, read off the type of each field's default

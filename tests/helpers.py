@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import cmp_to_key
 
 from hypothesis import strategies as st
 
 from cbkit.ordinal import ONE, ZERO, Ordinal
-from cbkit.realize import DEFAULT_CONFIG, ClusterTree, realize_cluster
+from cbkit.realize import DEFAULT_CONFIG, ClusterTree, RealizationConfig, realize_cluster
 from cbkit.space import CbChar, derivative_steps
 import ordinal_reference
 
@@ -101,3 +102,44 @@ def chain_obj(levels: int) -> dict:
             "tail": {"next_index": 1, "generator": "successor"},
         }
     return node
+
+
+st_config = st.builds(
+    RealizationConfig,
+    children_per_node=st.integers(min_value=2, max_value=6),
+    radius_schedule=st.sampled_from(("binary", "thirds")),
+    side_rule=st.sampled_from(("right", "left")),
+    max_depth=st.integers(min_value=1, max_value=4),
+)
+
+
+def preorder_paths(tree: ClusterTree, path: tuple[int, ...] = ()) -> list[tuple[tuple[int, ...], ClusterTree]]:
+    out = [(path, tree)]
+    for i, child in enumerate(tree.children):
+        out.extend(preorder_paths(child, path + (i,)))
+    return out
+
+
+def replace_at(tree: ClusterTree, path: tuple[int, ...], **changes) -> ClusterTree:
+    if not path:
+        return replace(tree, **changes)
+    kids = list(tree.children)
+    kids[path[0]] = replace_at(kids[path[0]], path[1:], **changes)
+    return replace(tree, children=tuple(kids))
+
+
+def outcome(fn, *args):
+    try:
+        return "returned", fn(*args)
+    except Exception as exc:  # the two readings must fail alike
+        return type(exc).__name__, str(exc)
+
+
+class FixedDraws:
+    """Stands in for st.data() in an @example: each draw returns the value given for its label."""
+
+    def __init__(self, **draws: object) -> None:
+        self.draws = draws
+
+    def draw(self, strategy: st.SearchStrategy, label: str) -> object:
+        return self.draws[label]

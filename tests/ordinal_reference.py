@@ -27,3 +27,22 @@ def cmp(a: Ordinal, b: Ordinal) -> int:
 
 def strictly_decreasing(exponents: list[Ordinal]) -> bool:
     return all(cmp(e, f) > 0 for e, f in zip(exponents, exponents[1:]))
+
+
+class ParentHash:
+    """A copy of an ordinal hashed by the rule Ordinal.__hash__ stands for.
+
+    The copy holds no Ordinal, so its hash never reaches the memo under
+    test: a finite ordinal hashes as its int, any other as its terms.
+    """
+
+    def __init__(self, a: Ordinal) -> None:
+        self.terms = tuple((ParentHash(e), c) for e, c in a.terms)
+
+    def __hash__(self) -> int:
+        terms = self.terms
+        if not terms:
+            return 0
+        if len(terms) == 1 and not terms[0][0].terms:
+            return hash(terms[0][1])
+        return hash(terms)

@@ -352,6 +352,23 @@ def test_verify_deep_json_exits_2(capsys, tmp_path):
     assert (code, report_text, err) == (2, "", "cbkit: error: JSON nested too deeply\n")
 
 
+@pytest.mark.parametrize("index", [True, 1.0])
+def test_verify_tail_index_not_natural_exits_2(capsys, tmp_path, index):
+    # an earlier tail with next_index 1 is shared, but true and 1.0 equal
+    # 1 and still get their own check
+    def tree(next_index):
+        leaf = {"center": "1/4", "radius": "1/16", "rank": "0", "children": [], "tail": None}
+        return {
+            "center": "0/1", "radius": "1/2", "rank": "1", "children": [leaf],
+            "tail": {"next_index": next_index, "generator": "successor"},
+        }
+
+    out = tmp_path / "t.json"
+    out.write_text(json.dumps([tree(1), tree(index)]))
+    code, report_text, err = run(capsys, "verify", str(out))
+    assert (code, report_text, err) == (2, "", "cbkit: error: next_index must be an integer >= 0\n")
+
+
 def test_verify_tree_past_depth_limit_exits_2(capsys, tmp_path):
     out = tmp_path / "t.json"
     out.write_text(json.dumps(chain_obj(101)))
@@ -483,6 +500,27 @@ def test_realize_replaces_existing_outputs(capsys, tmp_path):
     assert run(capsys, "realize", "1", "--out", "/dev/null", "--points", str(points))[0] == 0
 
 
+def test_realize_points_default_only_beside_a_regular_out(capsys, monkeypatch, tmp_path):
+    # _outputs records the paths it is given and opens none of them
+    given = []
+
+    @contextlib.contextmanager
+    def record(*paths):
+        given.append(paths)
+        yield [None for _ in paths]
+
+    monkeypatch.setattr("cbkit.cli._outputs", record)
+    new, old = str(tmp_path / "new.json"), tmp_path / "old.json"
+    old.write_text("an older tree\n")
+    for out in ("/dev/null", new, str(old)):
+        assert run(capsys, "realize", "1", "--out", out)[0] == 0
+    assert given == [
+        ("/dev/null", None),
+        (new, new + ".points.csv"),
+        (str(old), str(old) + ".points.csv"),
+    ]
+
+
 def test_realize_node_budget_exits_3(capsys, tmp_path, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("realize_multi called past the node budget")
@@ -542,7 +580,7 @@ def test_verify_dir_reports_each_budget(capsys, tmp_path):
         assert run(capsys, "realize", rank, "--out", str(trees / f"r{rank}.json"))[0] == 0
     code, report_text, err = run(capsys, "verify", str(trees), "--stage-cap", "2")
     assert code == 3
-    assert err == "cbkit: StageBudgetExceeded: no finite stage within 2 passes\n"
+    assert err == f"cbkit: {trees / 'r3.json'}: StageBudgetExceeded: no finite stage within 2 passes\n"
     first, second = json.loads(report_text)
     assert first["ok"] is True and first["char_pruned"] == {"rank": "1", "count": 1}
     assert second == {
@@ -578,7 +616,8 @@ def test_verify_dir_reports_bad_input(capsys, tmp_path):
     assert code == 2
     empty = "Expecting value: line 1 column 1 (char 0)"
     malformed = "Expecting value: line 1 column 12 (char 11)"
-    assert err == f"cbkit: error: {empty}\ncbkit: error: {malformed}\n"
+    # each stderr line names its file
+    assert err == f"cbkit: {trees / 'b.json'}: error: {empty}\ncbkit: {trees / 'c.json'}: error: {malformed}\n"
     first, second, third = json.loads(report_text)
     assert first["ok"] is True and first["tree"] == str(trees / "a.json")
     for report, name, message in ((second, "b.json", empty), (third, "c.json", malformed)):
@@ -593,9 +632,15 @@ def test_verify_dir_reports_bad_input(capsys, tmp_path):
     # an exhausted budget outranks bad input, wherever the files sort
     assert run(capsys, "realize", "3", "--out", str(trees / "d.json"))[0] == 0
     (trees / "e.json").write_text("")
-    code, report_text, _ = run(capsys, "verify", str(trees), "--stage-cap", "2")
+    code, report_text, err = run(capsys, "verify", str(trees), "--stage-cap", "2")
     assert code == 3
     kinds = [r["failures"][0].split(":")[0] for r in json.loads(report_text)[1:]]
     assert kinds == ["input", "input", "budget", "input"]
+    assert err.splitlines() == [
+        f"cbkit: {trees / 'b.json'}: error: {empty}",
+        f"cbkit: {trees / 'c.json'}: error: {malformed}",
+        f"cbkit: {trees / 'd.json'}: StageBudgetExceeded: no finite stage within 2 passes",
+        f"cbkit: {trees / 'e.json'}: error: {empty}",
+    ]
     # a single bad file still ends the run with no report
     assert run(capsys, "verify", str(trees / "b.json")) == (2, "", f"cbkit: error: {empty}\n")

@@ -7,7 +7,9 @@ re-asserted against the oracle at test time).
 
 from __future__ import annotations
 
+import pickle
 import random
+from dataclasses import fields, replace
 from functools import cmp_to_key
 
 import pytest
@@ -391,3 +393,35 @@ def test_order_at_the_deepest_nesting():
     assert (cmp(one, two), cmp(two, one), cmp(one, P(nested(limit)))) == (-1, 1, 0)
     assert one < two and two >= one and one != two
     assert reference.cmp(one, two) == -1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st_nested_ordinal)
+def test_hash_keeps_its_value_and_is_computed_once(a):
+    fresh = parse_ordinal(format_ordinal(a))  # equal, and shares no term object
+    unhashed = pickle.dumps(fresh)
+    value = hash(a)
+    assert value == hash(reference.ParentHash(a)) == hash(fresh)
+    assert hash(a) == value and fresh.__dict__[ordinal._HASH] == value
+    assert hash(replace(a)) == value
+    # the memo is not pickled, and an unpickled copy hashes alike
+    assert pickle.dumps(fresh) == unhashed
+    assert hash(pickle.loads(pickle.dumps(a))) == value
+    if a.is_finite:
+        assert value == hash(int(a))
+
+
+def test_hash_memo_is_no_field():
+    a = P("w^(w)*2+w+3")
+    hash(a)
+    assert [f.name for f in fields(Ordinal)] == ["terms"]
+    assert repr(a) == 'Ordinal("w^(w)*2+w+3")'
+    assert replace(a) == a and ordinal._HASH not in replace(a).__dict__
+    assert hash(Ordinal.from_int(7)) == hash(7) and hash(ZERO) == hash(0)
+
+
+def test_eq_operands():
+    a = P("w+1")
+    assert a == a and a == P("w+1") and a != P("w")
+    assert Ordinal.from_int(3) == 3 and 3 == Ordinal.from_int(3)
+    assert a != "w+1" and a != 1.0 and ZERO != False  # noqa: E712

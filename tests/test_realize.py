@@ -333,6 +333,21 @@ def test_forest_file_round_trip(tmp_path):
     assert multi.read_text().lstrip().startswith("[")
 
 
+def test_load_shares_radii_and_tails(tmp_path):
+    path = tmp_path / "two.json"
+    dump_forest(realize_multi(P("w^(2)+w"), 2), path)
+    nodes = [node for tree in load_forest(path) for _, node in tree.iter_nodes()]
+    radii: dict[Fraction, Fraction] = {}
+    tails: dict[TailSpec, TailSpec] = {}
+    for node in nodes:
+        assert radii.setdefault(node.radius, node.radius) is node.radius
+        if node.tail is not None:
+            assert tails.setdefault(node.tail, node.tail) is node.tail
+    assert len(nodes) > 100 * len(radii) and len(tails) <= 5
+    # centers are read one by one: all distinct
+    assert len({id(node.center) for node in nodes}) == len(nodes)
+
+
 def test_fraction_text():
     assert fraction_to_text(F(-3, 8)) == "-3/8"
     assert fraction_from_text("7/2") == F(7, 2)
