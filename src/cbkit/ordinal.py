@@ -159,11 +159,18 @@ class Ordinal:
         return self.terms == coerced.terms
 
     def __hash__(self) -> int:
-        # computed once per object and kept in the instance __dict__
-        memo = self.__dict__
-        value = memo.get(_HASH)
+        # computed once per object and kept in the instance __dict__; a
+        # finite ordinal hashes as its int, since the two compare equal
+        value = self.__dict__.get(_HASH)
         if value is None:
-            value = memo[_HASH] = hash(_hash_stand_in(self))
+            terms = self.terms
+            if not terms:
+                value = 0
+            elif len(terms) == 1 and not terms[0][0].terms:
+                value = hash(terms[0][1])
+            else:
+                value = hash(terms)
+            self.__dict__[_HASH] = value
         return value
 
     def __getstate__(self) -> dict:
@@ -191,21 +198,6 @@ class Ordinal:
 
 # Key of the hash memo in an Ordinal's instance __dict__.
 _HASH = "_cbkit_hash"
-
-
-def _hash_stand_in(a: Ordinal) -> object:
-    """A value that hashes as `a` does and holds no Ordinal.
-
-    A finite ordinal hashes as its int, since the two compare equal, and
-    any other as its terms.  Every exponent is replaced by its own stand-in,
-    so hashing the result never calls Ordinal.__hash__ again.
-    """
-    terms = a.terms
-    if not terms:
-        return 0
-    if len(terms) == 1 and not terms[0][0].terms:
-        return terms[0][1]
-    return tuple([(_hash_stand_in(exponent), coefficient) for exponent, coefficient in terms])
 
 
 def _coerce(value: object) -> Ordinal | None:

@@ -412,26 +412,35 @@ def validate_tree(
         for i, child in enumerate(kids):
             if not _is_rational(child):
                 raise TreeInvariantError(f"non-rational geometry at {_child_path(path, i)}")
-        # the node's coordinates and its children's on one local integer scale
-        ratios = [q.as_integer_ratio() for q in (z, node.radius)]
-        ratios += [q.as_integer_ratio() for child in kids for q in (child.center, child.radius)]
-        scale = lcm(*[den for _, den in ratios])
-        scaled = [num * (scale // den) for num, den in ratios]
-        zs, upper = scaled[0], scaled[1]
-        centers, radii = scaled[2::2], scaled[3::2]
-        dist = [abs(x - zs) for x in centers]
+        # Each child's checks read six values at most: the node center, the
+        # outer end of the child's shell, and the child's and the next
+        # child's centers and radii.  They compare as ints on the lcm of those
+        # values' denominators alone, so no scale grows with the number of
+        # children.
+        ratios = [q.as_integer_ratio() for child in kids for q in (child.center, child.radius)]
+        center_ratio = z.as_integer_ratio()
         for i, child in enumerate(kids):
             here = _child_path(path, i)
-            if dist[i] == 0:
+            # the first shell ends at the node radius, each later one at the
+            # previous child's offset
+            outer = ratios[2 * i - 2] if i else node.radius.as_integer_ratio()
+            window = [center_ratio, outer, *ratios[2 * i : 2 * i + 4]]
+            scale = lcm(*[den for _, den in window])
+            zs, bound, c, r, *after = [num * (scale // den) for num, den in window]
+            dist = abs(c - zs)
+            if dist == 0:
                 raise TreeInvariantError(f"child sits on the node center at {here}")
-            if dist[i] + radii[i] > upper:
+            upper = abs(bound - zs) if i else bound
+            if dist + r > upper:
                 raise TreeInvariantError(f"child ball escapes its shell at {here}")
-            if i + 1 < len(dist):
-                if dist[i + 1] >= dist[i]:
+            if after:
+                next_c, next_r = after
+                next_dist = abs(next_c - zs)
+                if next_dist >= dist:
                     raise TreeInvariantError(f"child offsets not strictly decreasing at {here}")
-                if dist[i] - radii[i] < dist[i + 1]:
+                if dist - r < next_dist:
                     raise TreeInvariantError(f"child ball dips below the next offset at {here}")
-                if abs(centers[i + 1] - centers[i]) < radii[i] + radii[i + 1]:
+                if abs(next_c - c) < r + next_r:
                     raise TreeInvariantError(f"sibling balls overlap at {here}")
             if cfg is not None:
                 x, eps = child_geometry(cfg, z, node.radius, i)
@@ -440,8 +449,6 @@ def validate_tree(
                 if node.tail is not None and child.rank != child_rank(node.rank, node.tail.generator, i):
                     raise TreeInvariantError(f"child rank off the recursion at {here}")
             visit(child, here)
-            # the next child's shell ends at this child's offset
-            upper = dist[i]
 
     if not _is_rational(tree):
         raise TreeInvariantError("non-rational geometry at /")
@@ -487,66 +494,66 @@ MAX_TREE_DEPTH = 100
 
 
 def tree_from_obj(obj: dict, strict: bool = False) -> ClusterTree:
-    return _loader(strict)(obj)
+    return _tree_from_obj(obj, strict, {}, {}, {}, 0)
 
 
-def _loader(strict: bool) -> Callable[[object], ClusterTree]:
-    """tree_from_obj for one load, which shares what repeats across its nodes.
+def _tree_from_obj(
+    obj: dict,
+    strict: bool,
+    ranks: dict[str, Ordinal],
+    radii: dict[str, Fraction],
+    tails: dict[tuple[int, str], TailSpec],
+    depth: int,
+) -> ClusterTree:
+    """tree_from_obj, sharing what repeats across the nodes of one load.
 
-    Each distinct rank text is parsed once, each distinct radius text read
-    once, and each distinct tail built once; the nodes share the results.
-    Centers are all distinct, so each is read on its own.  The tables live
-    as long as the returned function.
+    ranks maps rank text to its value, radii radius text to its value and
+    tails (next_index, generator) to its TailSpec, so each is parsed or
+    built once per load; one load shares them, and strict is fixed for
+    that load.  Centers are all distinct and are read one by one.  depth
+    is the node's level below its root.
     """
-    ranks: dict[str, Ordinal] = {}
-    radii: dict[str, Fraction] = {}
-    tails: dict[tuple[int, str], TailSpec] = {}
-
-    def load(obj: object, depth: int = 0) -> ClusterTree:
-        """The tree of obj, whose root is depth levels below its own root."""
-        if depth > MAX_TREE_DEPTH:
-            raise ValueError(f"cluster tree deeper than {MAX_TREE_DEPTH} levels")
-        if not isinstance(obj, dict):
-            raise ValueError("cluster tree must be a JSON object")
-        missing = {"center", "radius", "rank", "children", "tail"} - obj.keys()
-        if missing:
-            raise ValueError(f"cluster tree object lacks {sorted(missing)}")
-        text = obj["rank"]
-        if not isinstance(text, str):
-            raise ValueError("rank must be ordinal text")
-        if not isinstance(obj["children"], list):
-            raise ValueError("children must be a list")
-        tail = None
-        if obj["tail"] is not None:
-            spec = obj["tail"]
-            if not isinstance(spec, dict) or {"next_index", "generator"} - spec.keys():
-                raise ValueError("tail must carry next_index and generator")
-            index, generator = spec["next_index"], spec["generator"]
-            # only an int and a str are shared: true and 1.0 equal 1 and
-            # hash alike, yet TailSpec refuses them
-            key = (index, generator) if type(index) is int and type(generator) is str else None
-            tail = tails.get(key)
-            if tail is None:
-                tail = TailSpec(index, generator)
-                if key is not None:
-                    tails[key] = tail
-        center = fraction_from_text(obj["center"])
-        radius_text = obj["radius"]
-        radius = radii.get(radius_text) if isinstance(radius_text, str) else None
-        if radius is None:
-            radius = radii[radius_text] = fraction_from_text(radius_text)
-        rank = ranks.get(text)
-        if rank is None:
-            rank = ranks[text] = parse_ordinal(text, strict=strict)
-        return ClusterTree(
-            center,
-            radius,
-            rank,
-            tuple([load(child, depth + 1) for child in obj["children"]]),
-            tail,
-        )
-
-    return load
+    if depth > MAX_TREE_DEPTH:
+        raise ValueError(f"cluster tree deeper than {MAX_TREE_DEPTH} levels")
+    if not isinstance(obj, dict):
+        raise ValueError("cluster tree must be a JSON object")
+    missing = {"center", "radius", "rank", "children", "tail"} - obj.keys()
+    if missing:
+        raise ValueError(f"cluster tree object lacks {sorted(missing)}")
+    text = obj["rank"]
+    if not isinstance(text, str):
+        raise ValueError("rank must be ordinal text")
+    if not isinstance(obj["children"], list):
+        raise ValueError("children must be a list")
+    tail = None
+    if obj["tail"] is not None:
+        spec = obj["tail"]
+        if not isinstance(spec, dict) or {"next_index", "generator"} - spec.keys():
+            raise ValueError("tail must carry next_index and generator")
+        index, generator = spec["next_index"], spec["generator"]
+        # only an int and a str are shared: true and 1.0 equal 1 and hash
+        # alike, yet TailSpec refuses them
+        key = (index, generator) if type(index) is int and type(generator) is str else None
+        tail = tails.get(key)
+        if tail is None:
+            tail = TailSpec(index, generator)
+            if key is not None:
+                tails[key] = tail
+    center = fraction_from_text(obj["center"])
+    radius_text = obj["radius"]
+    radius = radii.get(radius_text) if isinstance(radius_text, str) else None
+    if radius is None:
+        radius = radii[radius_text] = fraction_from_text(radius_text)
+    rank = ranks.get(text)
+    if rank is None:
+        rank = ranks[text] = parse_ordinal(text, strict=strict)
+    return ClusterTree(
+        center,
+        radius,
+        rank,
+        tuple(_tree_from_obj(child, strict, ranks, radii, tails, depth + 1) for child in obj["children"]),
+        tail,
+    )
 
 
 def _write_forest(objs: Sequence[dict], write: Callable[[str], object]) -> None:
@@ -629,10 +636,12 @@ def dump_forest(forest: Sequence[ClusterTree], path: str | Path) -> None:
 
 def load_forest(path: str | Path, strict: bool = False) -> tuple[ClusterTree, ...]:
     data = _read_json(Path(path).read_text())
-    load = _loader(strict)
+    ranks: dict[str, Ordinal] = {}
+    radii: dict[str, Fraction] = {}
+    tails: dict[tuple[int, str], TailSpec] = {}
     if isinstance(data, list):
-        return tuple(load(obj) for obj in data)
-    return (load(data),)
+        return tuple(_tree_from_obj(obj, strict, ranks, radii, tails, 0) for obj in data)
+    return (_tree_from_obj(data, strict, ranks, radii, tails, 0),)
 
 
 # config key -> caster, read off the type of each field's default

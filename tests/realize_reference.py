@@ -1,7 +1,7 @@
 """The parent reading of `validate_tree`, on plain `Fraction` arithmetic.
 
-`cbkit.realize.validate_tree` compares each node and its children on one
-local integer scale; this copy subtracts, adds and compares the
+`cbkit.realize.validate_tree` compares each child's values as ints on the
+scale of their own denominators; this copy subtracts, adds and compares the
 `Fraction`s themselves, and keys the duplicate-center set by `Fraction`.
 The differential tests require the same outcome from both: no error, or
 the same first `TreeInvariantError` message.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import realize_reference as reference
+import cbkit.realize
 from cbkit.ordinal import ONE, ZERO, add, parse_ordinal
 from cbkit.realize import ClusterTree, TailSpec, TreeInvariantError, realize_cluster, validate_tree
 from helpers import outcome, preorder_paths, replace_at, st_config
@@ -138,3 +140,41 @@ def test_shell_of_a_later_child_is_the_previous_offset():
     with pytest.raises(TreeInvariantError, match=r"^child ball escapes its shell at /1$"):
         validate_tree(tree)
     assert outcome(reference.validate_tree, tree) == outcome(validate_tree, tree)
+
+
+def primes_between(low: int, high: int) -> list[int]:
+    sieve = bytearray([1]) * high
+    for n in range(2, int(high**0.5) + 1):
+        if sieve[n]:
+            sieve[n * n :: n] = bytearray(len(range(n * n, high, n)))
+    return [n for n in range(max(low, 2), high) if sieve[n]]
+
+
+@pytest.mark.parametrize("grown", [None, 0, 200, 399])
+def test_many_children_with_distinct_denominators(monkeypatch, grown):
+    # every center and radius has its own prime denominator, so one scale
+    # for the whole node would carry the bits of all 800 primes; each
+    # comparison is scaled by six denominators at most
+    k = 400
+    primes = primes_between(2000, 20000)[: 2 * k]
+    geometry = []
+    for i in range(k):
+        p, q = primes[2 * i], primes[2 * i + 1]
+        # offset i just above (k - i) / (k + 1), radius a bit under 1 / (4 (k + 1))
+        offset = Fraction(-((i - k) * p // (k + 1)), p)
+        geometry.append((offset, Fraction(q // (4 * (k + 1)), q)))
+    if grown is not None:
+        center, radius = geometry[grown]
+        geometry[grown] = (center, radius * 5)
+    tree = leaves("1", *geometry)
+    scale_bits = []
+
+    def recorded_lcm(*dens: int) -> int:
+        scale = math.lcm(*dens)
+        scale_bits.append(scale.bit_length())
+        return scale
+
+    monkeypatch.setattr(cbkit.realize, "lcm", recorded_lcm)
+    assert outcome(validate_tree, tree) == outcome(reference.validate_tree, tree)
+    assert (outcome(validate_tree, tree) == ("returned", None)) == (grown is None)
+    assert 0 < max(scale_bits) <= 6 * primes[-1].bit_length()
