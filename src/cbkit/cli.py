@@ -64,6 +64,7 @@ from .realize import (
     validate_tree,
 )
 from .oracle import (
+    GeometryReport,
     InfiniteRankError,
     ScaleBudgetError,
     StageBudgetError,
@@ -224,20 +225,15 @@ def _cmd_realize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _merge_geometry(reports: list) -> dict:
-    merged = {
-        "ok": all(r.ok for r in reports),
-        "annuli": sum(r.annuli for r in reports),
-        "claim1_ok": all(r.claim1_ok for r in reports),
-        "claim2_ok": all(r.claim2_ok for r in reports),
-        "claim3_ok": all(r.claim3_ok for r in reports),
-        "counterexample": None,
-    }
-    for r in reports:
-        if r.counterexample is not None:
-            merged["counterexample"] = r.counterexample.to_obj()
-            break
-    return merged
+def _merge_geometry(reports: list[GeometryReport]) -> dict:
+    return GeometryReport(
+        ok=all(r.ok for r in reports),
+        annuli=sum(r.annuli for r in reports),
+        claim1_ok=all(r.claim1_ok for r in reports),
+        claim2_ok=all(r.claim2_ok for r in reports),
+        claim3_ok=all(r.claim3_ok for r in reports),
+        counterexample=next((r.counterexample for r in reports if r.counterexample is not None), None),
+    ).to_obj()
 
 
 def _verify_file(path: Path, cfg: RealizationConfig, strict: bool, stage_cap: int) -> dict:

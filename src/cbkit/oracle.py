@@ -39,17 +39,17 @@ from itertools import accumulate
 from math import ceil, lcm
 from typing import Iterable
 
-from .ordinal import ONE, ZERO, Ordinal, _is_natural, _require_natural, left_sub
+from .ordinal import ONE, ZERO, Ordinal, _is_natural, _require_natural, fundamental_seq, left_sub
 from .space import CbChar, EMPTY_CLASS, union_char
 from .realize import (
     DEFAULT_CONFIG,
+    SUCCESSOR,
     ClusterTree,
     RealizationConfig,
     TreeInvariantError,
     _child_path,
     fraction_to_text,
     generator_for,
-    child_rank,
     scheduled_radius,
 )
 
@@ -326,130 +326,93 @@ def geometry_check(tree: ClusterTree) -> GeometryReport:
     Violations are ordered by node in post-order, then annulus, then
     claim; the first one is the reported counterexample.  Coordinates
     are centers scaled by twice their common denominator, so every
-    midpoint bound is an integer as well.
+    midpoint bound is an integer as well.  The walk recurses once per
+    level, and a loaded tree is at most MAX_TREE_DEPTH levels deep.
     """
     scale = 2 * _scale(tree)
-    # preorder, with each node's parent index (-1 at the root) and slot
-    nodes: list[ClusterTree] = []
-    parent: list[int] = []
-    slot: list[int] = []
-    depth: list[int] = []
-    stack = [(tree, -1, 0)]
-    while stack:
-        node, up, k = stack.pop()
-        index = len(nodes)
-        nodes.append(node)
-        parent.append(up)
-        slot.append(k)
-        depth.append(depth[up] + 1 if up >= 0 else 0)
-        kids = node.children
-        stack.extend((kids[j], index, j) for j in range(len(kids) - 1, -1, -1))
-    vals = [_scaled(node.center, scale) for node in nodes]
-
-    # subtree i is the preorder slice [i, end[i]); lo/hi are its hull
-    lo, hi = vals[:], vals[:]
-    end = list(range(1, len(nodes) + 1))
-    for i in range(len(nodes) - 1, 0, -1):
-        up = parent[i]
-        if lo[i] < lo[up]:
-            lo[up] = lo[i]
-        if hi[i] > hi[up]:
-            hi[up] = hi[i]
-        if end[i] > end[up]:
-            end[up] = end[i]
-    where: dict[int, list[int]] = {}
-    for i, v in enumerate(vals):
-        if v in where:
-            where[v].append(i)
-        else:
-            where[v] = [i]
-
-    def on_sphere(i: int, z: int, bound: int) -> int | None:
-        for candidate in (z - bound, z + bound) if bound else (z,):
-            at = where.get(candidate)
-            if at is not None:
-                j = bisect_left(at, i)
-                if j < len(at) and at[j] < end[i]:
-                    return candidate
-        return None
-
+    # scaled centers in preorder: when a node returns, its subtree is the
+    # suffix of vals from its own position on
+    vals: list[int] = []
+    latest: dict[int, int] = {}  # scaled center -> its last position in vals
     annuli = 0
     claim_ok = {1: True, 2: True, 3: True}
-    # (post-order position, node, annulus, claim, child or point, bound)
-    first: tuple[int, int, int, int, int, int] | None = None
-    for i, node in enumerate(nodes):
-        m = len(node.children)
-        if m < 2:
-            continue
-        annuli += m - 1
-        kids = [i + 1]
-        for _ in range(m - 1):
-            kids.append(end[kids[-1]])
-        z = vals[i]
-        dist = [abs(vals[c] - z) for c in kids]
+    first: AnnulusCheck | None = None
+
+    def visit(node: ClusterTree, path: str) -> tuple[int, int]:
+        """Check the subtree in post-order and return its hull."""
+        nonlocal annuli, first
+        z = _scaled(node.center, scale)
+        start = len(vals)
+        latest[z] = start
+        vals.append(z)
+        lo = hi = z
+        if not node.children:
+            return lo, hi
+        starts: list[int] = []
+        dist: list[int] = []
         dmin: list[int] = []
         dmax: list[int] = []
-        for c in kids:
-            if z <= lo[c]:
-                dmin.append(lo[c] - z)
-                dmax.append(hi[c] - z)
-            elif z >= hi[c]:
-                dmin.append(z - hi[c])
-                dmax.append(z - lo[c])
+        for i, child in enumerate(node.children):
+            begin = len(vals)
+            child_lo, child_hi = visit(child, _child_path(path, i))
+            starts.append(begin)
+            dist.append(abs(vals[begin] - z))
+            if z <= child_lo:
+                dmin.append(child_lo - z)
+                dmax.append(child_hi - z)
+            elif z >= child_hi:
+                dmin.append(z - child_hi)
+                dmax.append(z - child_lo)
             else:
                 # center inside the hull: only the maximum is interval-determined
-                dmin.append(min(abs(v - z) for v in vals[c : end[c]]))
-                dmax.append(max(hi[c] - z, z - lo[c]))
+                dmin.append(min(abs(v - z) for v in vals[begin:]))
+                dmax.append(max(child_hi - z, z - child_lo))
+            if child_lo < lo:
+                lo = child_lo
+            if child_hi > hi:
+                hi = child_hi
+        m = len(starts)
+        if m < 2:
+            return lo, hi
+        starts.append(len(vals))
+        annuli += m - 1
         inner = list(accumulate(dmin, min))  # inner[n]: min over children 0..n
         outer = list(accumulate(reversed(dmax), max))[::-1]  # outer[k]: max over k..m-1
-        post = end[i] - 1 - depth[i]
-        reported = first is not None and first[0] < post
         for n in range(m - 1):
             bound = (dist[n] + dist[n + 1]) // 2
             near = inner[n] < bound
             far = outer[n + 1] >= bound
-            point = on_sphere(i, z, bound)
+            point = None
+            for v in (z - bound, z + bound) if bound else (z,):
+                if latest.get(v, -1) >= start:
+                    point = v
+                    break
             if not (near or far or point is not None):
                 continue
             claim_ok[1] = claim_ok[1] and not near
             claim_ok[2] = claim_ok[2] and not far
             claim_ok[3] = claim_ok[3] and point is None
-            if reported:
+            if first is not None:
                 continue
-            reported = True
             if near:
                 k = next(k for k in range(n + 1) if dmin[k] < bound)
-                first = (post, i, n, 1, kids[k], bound)
+                claim, point = 1, min(v for v in vals[starts[k] : starts[k + 1]] if abs(v - z) < bound)
             elif far:
                 k = next(k for k in range(n + 1, m) if dmax[k] >= bound)
-                first = (post, i, n, 2, kids[k], bound)
+                claim, point = 2, min(v for v in vals[starts[k] : starts[k + 1]] if abs(v - z) >= bound)
             else:
-                first = (post, i, n, 3, point, bound)
+                claim = 3
+            first = AnnulusCheck(path, n, claim, Fraction(point, scale), Fraction(bound, scale))
+        return lo, hi
 
-    counterexample = None
-    if first is not None:
-        _, i, n, claim, found, bound = first
-        z = vals[i]
-        if claim == 3:
-            point = found
-        else:
-            inside = claim == 1
-            point = min(v for v in vals[found : end[found]] if (abs(v - z) < bound) == inside)
-        slots = []
-        while parent[i] >= 0:
-            slots.append(slot[i])
-            i = parent[i]
-        path = "/"
-        for k in reversed(slots):
-            path = _child_path(path, k)
-        counterexample = AnnulusCheck(path, n, claim, Fraction(point, scale), Fraction(bound, scale))
+    visit(tree, "/")
     return GeometryReport(
         ok=first is None,
         annuli=annuli,
         claim1_ok=claim_ok[1],
         claim2_ok=claim_ok[2],
         claim3_ok=claim_ok[3],
-        counterexample=counterexample,
+        counterexample=first,
     )
 
 
@@ -551,14 +514,16 @@ def audit_rank(tree: ClusterTree, exact: bool = True, _path: str = "/") -> Ordin
     if exact and tree.tail.next_index != len(tree.children):
         raise AuditError(f"children are not a tail prefix at {_path}")
     previous: Ordinal | None = None
+    # every child of a successor node carries its predecessor
+    succ_rank = rank.pred() if generator == SUCCESSOR and tree.children else None
     for i, child in enumerate(tree.children):
         here = _child_path(_path, i)
         if exact:
-            expected = child_rank(rank, generator, i)
+            expected = succ_rank if succ_rank is not None else fundamental_seq(rank, i)
             if child.rank != expected:
                 raise AuditError(f"child rank {child.rank} != {expected} at {here}")
-        elif generator == "successor":
-            if child.rank != rank.pred():
+        elif succ_rank is not None:
+            if child.rank != succ_rank:
                 raise AuditError(f"successor child rank {child.rank} at {here}")
         else:
             if child.rank >= rank:

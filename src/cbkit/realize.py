@@ -27,7 +27,7 @@ from math import lcm
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .ordinal import Ordinal, ZERO, _is_natural, _require_natural, format_ordinal, fundamental_seq, parse_ordinal
+from .ordinal import Ordinal, _is_natural, _require_natural, format_ordinal, fundamental_seq, parse_ordinal
 
 __all__ = [
     "SUCCESSOR",
@@ -446,7 +446,7 @@ def validate_tree(
                 x, eps = child_geometry(cfg, z, node.radius, i)
                 if child.center != x or child.radius != eps:
                     raise TreeInvariantError(f"child geometry off the schedule at {here}")
-                if node.tail is not None and child.rank != child_rank(node.rank, node.tail.generator, i):
+                if child.rank != child_rank(node.rank, node.tail.generator, i):
                     raise TreeInvariantError(f"child rank off the recursion at {here}")
             visit(child, here)
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cbkit.cli import _build_parser, _config_from_args, main
-from cbkit.oracle import MAX_SCALE_BITS
+from cbkit.oracle import MAX_SCALE_BITS, geometry_check
 from cbkit.ordinal import parse_ordinal
 from cbkit.realize import (
     SCHEDULE_BASES,
@@ -273,6 +273,23 @@ def test_verify_corrupted_tree(capsys, tmp_path):
     assert report["geometry"]["ok"] is False
     assert report["geometry"]["counterexample"]["point"] == "3/16"
     assert report["failures"]
+
+
+def test_verify_forest_reports_first_counterexample(capsys, tmp_path):
+    out = tmp_path / "t.json"
+    run(capsys, "realize", "2", "-p", "2", "--out", str(out))
+    objs = json.loads(out.read_text())
+    objs[0]["children"][0]["children"][0]["center"] = "3/16"  # onto each root sphere
+    objs[1]["children"][0]["children"][0]["center"] = "19/16"
+    out.write_text(json.dumps(objs))
+    code, report_text, _ = run(capsys, "verify", str(out))
+    geometry = json.loads(report_text)["geometry"]
+    reports = [geometry_check(t) for t in load_forest(out)]
+    assert code == 1
+    assert all(not r.ok for r in reports)
+    assert geometry["annuli"] == sum(r.annuli for r in reports)
+    assert geometry["counterexample"] == reports[0].counterexample.to_obj()
+    assert geometry["counterexample"]["point"] == "3/16"
 
 
 def test_verify_wrong_tail_generator(capsys, tmp_path):

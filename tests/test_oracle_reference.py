@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,7 +11,17 @@ from hypothesis import strategies as st
 
 import oracle_reference as reference
 from cbkit.ordinal import ONE, ZERO, parse_ordinal
-from cbkit.realize import ClusterTree, RealizationConfig, TailSpec, extend_children, generator_for, realize_cluster
+from cbkit.realize import (
+    MAX_TREE_DEPTH,
+    ClusterTree,
+    RealizationConfig,
+    TailSpec,
+    extend_children,
+    fraction_to_text,
+    generator_for,
+    realize_cluster,
+    tree_from_obj,
+)
 from cbkit.oracle import char_by_pruning, geometry_check, prune, restriction_check
 from helpers import FixedDraws, outcome, preorder_paths, replace_at, st_config
 
@@ -162,3 +173,70 @@ def test_sphere_point_outside_the_subtree_is_ignored():
     report = geometry_check(forest)
     assert report == reference.geometry_check(forest)
     assert report.counterexample.path == "/"
+    # nor when that sibling is walked before the checked node
+    earlier = node(100, node(-6), node(0, node(8), node(4), node(2)))
+    report = geometry_check(earlier)
+    assert report == reference.geometry_check(earlier)
+    assert report.ok
+
+
+def test_first_violation_in_post_order():
+    # /0 has children at distances 2 and 4, so its sphere is at 3: the
+    # first child falls inside it (claim 1) and the second outside (claim
+    # 2).  The root's first sphere, at 6, passes through the middle child's
+    # child 6 (claims 2 and 3).  /0 comes first in post-order.
+    tree = node(0, node(8, node(10), node(12)), node(4, node(6)), node(2))
+    report = geometry_check(tree)
+    assert report.to_obj() == reference.geometry_check(tree).to_obj()
+    assert (report.claim1_ok, report.claim2_ok, report.claim3_ok) == (False, False, False)
+    assert report.counterexample.to_obj() == {
+        "path": "/0",
+        "annulus": 0,
+        "claim": 1,
+        "point": "10/1",
+        "bound": "3/1",
+    }
+
+
+def spine_obj(levels: int, inner: Fraction) -> dict:
+    """Tree object whose first children form a chain `levels` deep.
+
+    Each node on the chain has two children: the chain goes on at offset
+    r/2 with radius r/8 and a leaf sits at offset r/8 with radius r/32, so
+    each sphere, at 5r/16, separates them.  The last node's first child
+    sits at offset `inner` times its radius instead.
+    """
+
+    def obj(center: Fraction, radius: Fraction, children: list) -> dict:
+        return {
+            "center": fraction_to_text(center),
+            "radius": fraction_to_text(radius),
+            "rank": "1" if children else "0",
+            "children": children,
+            "tail": {"next_index": len(children), "generator": "successor"} if children else None,
+        }
+
+    centers, radii = [Fraction(0)], [Fraction(1)]
+    for _ in range(levels):
+        centers.append(centers[-1] + radii[-1] / 2)
+        radii.append(radii[-1] / 8)
+    centers[-1] = centers[-2] + radii[-2] * inner
+    node_obj = obj(centers[-1], radii[-1], [])
+    for c, r in zip(reversed(centers[:-1]), reversed(radii[:-1])):
+        node_obj = obj(c, r, [node_obj, obj(c + r / 8, r / 32, [])])
+    return node_obj
+
+
+def test_deepest_loaded_tree_matches_reference():
+    # two children on every level down to the loader's depth limit, at the
+    # interpreter's default recursion limit
+    assert sys.getrecursionlimit() == 1000
+    for inner, ok in ((Fraction(1, 2), True), (Fraction(1, 16), False)):
+        tree = tree_from_obj(spine_obj(MAX_TREE_DEPTH, inner))
+        report = geometry_check(tree)
+        assert report == reference.geometry_check(tree)
+        assert (report.ok, report.annuli) == (ok, MAX_TREE_DEPTH)
+        if not ok:
+            # the last node on the chain, one level above the deepest
+            assert report.counterexample.path == "/0" * (MAX_TREE_DEPTH - 1)
+            assert report.counterexample.claim == 1
