@@ -314,6 +314,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     code = 0
     for f in sorted(target.glob("*.json")):
         try:
+            if not f.is_file():
+                # a FIFO would block the read until a writer came
+                raise OSError("not a regular file")
             report = _verify_file(f, cfg, strict, args.stage_cap)
             file_code = 0 if report["ok"] else 1
         except (StageBudgetError, ScaleBudgetError) as exc:

@@ -11,35 +11,36 @@ are isolated points exactly when the rank is 1; tail children of a
 limit node carry ranks climbing to the parent's and never vanish.
 Either way the tail family is gone exactly when the derived rank is 0.
 
-Pruned trees stay annotated: each pass rewrites the rank a node would
-have after one derivative, which the next pass reads.  Geometry
-and rank audits are separate lenses over the same trees and share no
-code with pruning beyond the tree type itself.
+So in a tree that prunes without error a node of finite rank r survives
+exactly r passes and one of infinite rank every finite pass: its life.
+The stage-k tree keeps the nodes of life at least k, at their ranks
+after k derivatives.  Geometry and rank audits are separate lenses over
+the same trees and share no code with pruning beyond the tree type.
 
 Results are memoized on the trees themselves, under private keys in the
 instance ``__dict__`` (as ``functools.cached_property`` does on frozen
-dataclasses): a node keeps its one-pass pruning, and restriction checks
-keep each stage's survivor summary on the stage tree.  The memo lives
-and dies with its tree; there is no process-wide cache to clear.  The
-hot loops of the geometry and restriction checks compare Python ints:
-centers scaled by the least common denominator of the tree's centers.
-Realized trees have denominators 2*b^k for the schedule base b, so that
-scale is the largest denominator; for any other tree its bit length is
-at most the total bits of the denominators, and a scale longer than
-MAX_SCALE_BITS ends the check with ScaleBudgetError.  Fractions appear
-again only in a reported counterexample.
+dataclasses): an interior node keeps its life and first pruning error
+(message text, not an exception), a node its one-pass pruning, and a
+tree one restriction table row per node.  The memo lives and dies with
+its tree; there is no process-wide cache to clear.  The hot loops of the
+geometry and restriction checks compare Python ints: centers scaled by
+the least common denominator of the tree's centers.  Realized trees have
+denominators 2*b^k for the schedule base b, so that scale is the largest
+denominator; for any other tree its bit length is at most the total bits
+of the denominators, and a scale longer than MAX_SCALE_BITS ends the
+check with ScaleBudgetError.  Fractions appear again only in a reported
+counterexample.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import ceil, lcm
 from typing import Iterable
 
-from .ordinal import ONE, ZERO, Ordinal, _is_natural, _require_natural, fundamental_seq, left_sub
+from .ordinal import ZERO, Ordinal, _is_natural, _require_natural, fundamental_seq
 from .space import CbChar, EMPTY_CLASS, union_char
 from .realize import (
     DEFAULT_CONFIG,
@@ -109,50 +110,66 @@ def _as_forest(trees: ClusterTree | Iterable[ClusterTree]) -> tuple[ClusterTree,
 
 # Keys of the per-tree memos in a ClusterTree's instance __dict__.
 _PRUNED = "_cbkit_pruned"
+_FATE = "_cbkit_fate"
 _SCALE = "_cbkit_scale"
-_SURVIVORS = "_cbkit_survivors"
-_SORTED = "_cbkit_sorted"
+_TABLE = "_cbkit_table"
+
+
+def _fate(tree: ClusterTree) -> tuple[int | None, tuple[int, str] | None]:
+    """A node's life and the first error that pruning it as a root raises.
+
+    life is 0 for a leaf, r for finite rank r and None for an infinite
+    rank; error is (stage, message) or None.  Memoized on interior nodes.
+    """
+    if tree.is_leaf:
+        return 0, None
+    memo = tree.__dict__
+    if _FATE not in memo:
+        # leaves neither fail nor outlive a node that gets this far
+        fates = [_fate(c) for c in tree.children if c.children or c.tail is not None]
+        rank, tail = tree.rank, tree.tail
+        life = int(rank) if rank.is_finite else None
+        # a pass checks the node, then its children in order; once the node
+        # has lived its life it is a bare center and their later errors
+        # never come up.  min keeps the first child's error on a tie.
+        errors = [e for _, e in fates if e is not None and (life is None or e[0] <= life)]
+        error = None
+        if tail is None:
+            error = (1, "interior node without a tail rule")
+        elif rank.is_zero or tail.generator != generator_for(rank):
+            error = (1, "tail generator disagrees with rank")
+        elif errors:
+            error = min(errors, key=lambda e: e[0])
+        elif life is not None and any(c is None or c >= life for c, _ in fates):
+            error = (life, "materialized children outlive the tail probe")
+        memo[_FATE] = (life, error)
+    return memo[_FATE]
+
+
+def _raise_by(tree: ClusterTree, stage: int) -> None:
+    """Raise the first error of pruning tree, if it comes by the given stage."""
+    error = _fate(tree)[1]
+    if error is not None and error[0] <= stage:
+        raise TreeInvariantError(error[1])
+
+
+def _stage(tree: ClusterTree, k: int) -> ClusterTree | None:
+    """The stage-k tree, for a tree whose pruning raises nothing by stage k."""
+    life = _fate(tree)[0]
+    if life is not None and life <= k:
+        # a node that has just lived its life is a bare center, now isolated
+        return ClusterTree(tree.center, tree.radius, ZERO) if life == k else None
+    rank = tree.rank if life is None else Ordinal.from_int(life - k)
+    kept = tuple([s for s in (_stage(c, k) for c in tree.children) if s is not None])
+    return ClusterTree(tree.center, tree.radius, rank, kept, tree.tail)
 
 
 def prune(tree: ClusterTree) -> ClusterTree | None:
     """One derivative pass: None when the whole subtree is isolated points."""
-    return _prune(tree, {})
-
-
-def _prune(tree: ClusterTree, derived: dict[tuple[Ordinal, str], Ordinal]) -> ClusterTree | None:
-    """prune, with the rank arithmetic of one call shared across its nodes.
-
-    derived maps (rank, generator) to the rank after one derivative;
-    nodes of one tree repeat few distinct keys.
-    """
     memo = tree.__dict__
-    if _PRUNED in memo:
-        return memo[_PRUNED]
-    if tree.is_leaf:
-        return None
-    tail = tree.tail
-    if tail is None:
-        raise TreeInvariantError("interior node without a tail rule")
-    key = (tree.rank, tail.generator)
-    rank = derived.get(key)
-    if rank is None:
-        if tree.rank.is_zero or tail.generator != generator_for(tree.rank):
-            raise TreeInvariantError("tail generator disagrees with rank")
-        rank = derived[key] = left_sub(ONE, tree.rank)
-    # leaves vanish; every other node yields a tree or raises
-    kept = tuple(
-        [_prune(c, derived) for c in tree.children if c.children or c.tail is not None]
-    )
-    if rank.is_zero:
-        if kept:
-            raise TreeInvariantError("materialized children outlive the tail probe")
-        # every ideal child was an isolated point; the center remains,
-        # now isolated itself
-        result = ClusterTree(tree.center, tree.radius, ZERO)
-    else:
-        result = ClusterTree(tree.center, tree.radius, rank, kept, tail)
-    memo[_PRUNED] = result
-    return result
+    if _PRUNED not in memo:
+        memo[_PRUNED] = prune_steps(tree, 1)
+    return memo[_PRUNED]
 
 
 def prune_forest(forest: ClusterTree | Iterable[ClusterTree]) -> tuple[ClusterTree, ...]:
@@ -160,13 +177,10 @@ def prune_forest(forest: ClusterTree | Iterable[ClusterTree]) -> tuple[ClusterTr
 
 
 def prune_steps(tree: ClusterTree, k: int) -> ClusterTree | None:
+    """The tree after k passes, built in one walk: the nodes of life at least k."""
     _require_natural(k, "k")
-    current: ClusterTree | None = tree
-    for _ in range(k):
-        if current is None:
-            return None
-        current = prune(current)
-    return current
+    _raise_by(tree, k)
+    return _stage(tree, k) if k else tree
 
 
 def has_tail(tree: ClusterTree) -> bool:
@@ -213,25 +227,30 @@ def char_by_pruning(
     """Characteristic read off by pruning alone, ignoring annotations.
 
     Rank equals the first stage with no tails left anywhere: from then on
-    the survivors form a finite set, and its size is the count.  Roots of
-    infinite rank would survive every finite stage, so they are refused.
+    the survivors form a finite set, and its size is the count.  Without
+    errors that is the largest life of a root; otherwise pruning raises
+    its first error, by stage and then tree order, unless the cap or a
+    forest without tails stops it first.  Roots of infinite rank would
+    survive every finite stage, so they are refused.
     """
     _require_natural(stage_cap, "stage_cap")
     current = _as_forest(forest)
     for t in current:
         if not t.rank.is_finite:
             raise InfiniteRankError(f"root rank {t.rank} is not finite")
-    stage = 0
-    while True:
-        if not any(has_tail(t) for t in current):
-            survivors = count_nodes(current)
-            if survivors == 0:
-                return EMPTY_CLASS
-            return CbChar(Ordinal.from_int(stage), survivors)
-        if stage >= stage_cap:
-            raise StageBudgetError(f"no finite stage within {stage_cap} passes")
-        current = prune_forest(current)
-        stage += 1
+    fates = [_fate(t) for t in current]
+    stage = max([life for life, _ in fates], default=0)
+    errors = [e[0] for _, e in fates if e is not None]
+    if errors:
+        # a forest keeps a tail up to its first error, whose stage trees
+        # raise it; with no tail at all no pass runs
+        stage = min(errors) if any(has_tail(t) for t in current) else 0
+    if stage > stage_cap:
+        raise StageBudgetError(f"no finite stage within {stage_cap} passes")
+    survivors = count_nodes([p for p in (prune_steps(t, stage) for t in current) if p is not None])
+    if survivors == 0:
+        return EMPTY_CLASS
+    return CbChar(Ordinal.from_int(stage), survivors)
 
 
 @dataclass(frozen=True)
@@ -274,15 +293,15 @@ class GeometryReport:
         }
 
 
-def _centers(tree: ClusterTree) -> list[Fraction]:
-    """Every center of the tree, in no particular order."""
-    centers = []
+def _nodes(tree: ClusterTree) -> list[ClusterTree]:
+    """Every node of the tree, in no particular order."""
+    nodes = []
     stack = [tree]
     while stack:
         node = stack.pop()
-        centers.append(node.center)
+        nodes.append(node)
         stack.extend(node.children)
-    return centers
+    return nodes
 
 
 # Bit length allowed to the scale of one tree.  Every scaled center is an
@@ -300,9 +319,9 @@ def _scale(tree: ClusterTree) -> int:
     memo = tree.__dict__
     if _SCALE not in memo:
         scale = 1
-        for q in _centers(tree):
-            if scale % q.denominator:
-                scale = lcm(scale, q.denominator)
+        for node in _nodes(tree):
+            if scale % node.center.denominator:
+                scale = lcm(scale, node.center.denominator)
                 if scale.bit_length() > MAX_SCALE_BITS:
                     raise ScaleBudgetError(
                         f"common denominator of the centers exceeds {MAX_SCALE_BITS} bits"
@@ -416,30 +435,17 @@ def geometry_check(tree: ClusterTree) -> GeometryReport:
     )
 
 
-def _survivors(stage: ClusterTree | None, scale: int) -> frozenset[int]:
-    """Scaled centers of a stage tree, memoized on it with their scale."""
-    if stage is None:
-        return frozenset()
-    hit = stage.__dict__.get(_SURVIVORS)
-    if hit is None or hit[0] != scale:
-        points = frozenset([_scaled(q, scale) for q in _centers(stage)])
-        hit = stage.__dict__[_SURVIVORS] = (scale, points)
-    return hit[1]
-
-
-def _sorted_survivors(stage: ClusterTree | None, scale: int) -> list[int]:
-    """Scaled centers of a whole stage tree in increasing order, memoized on it.
-
-    The stage's children are the children's own stage trees, so their
-    survivor sets are usually memoized already.
-    """
-    if stage is None:
-        return []
-    hit = stage.__dict__.get(_SORTED)
-    if hit is None or hit[0] != scale:
-        points = {_scaled(stage.center, scale)}.union(*(_survivors(c, scale) for c in stage.children))
-        hit = stage.__dict__[_SORTED] = (scale, sorted(points))
-    return hit[1]
+def _table(tree: ClusterTree) -> dict[int | None, list[tuple[int, int]]]:
+    """The tree's nodes by life, as (scaled center, index of the root's child
+    holding it); the root's own index is len(tree.children).  Memoized."""
+    memo = tree.__dict__
+    if _TABLE not in memo:
+        scale = _scale(tree)
+        table = memo[_TABLE] = {_fate(tree)[0]: [(_scaled(tree.center, scale), len(tree.children))]}
+        for i, child in enumerate(tree.children):
+            for node in _nodes(child):
+                table.setdefault(_fate(node)[0], []).append((_scaled(node.center, scale), i))
+    return memo[_TABLE]
 
 
 def restriction_check(
@@ -455,9 +461,9 @@ def restriction_check(
     child subtrees 0..n on their own.  The sphere past the last
     materialized child is placed against the scheduled next shell.
 
-    Each stage tree keeps its survivors as scaled integers, so the cases
-    of one tree share one summary per stage: a case is two bisects into
-    the whole stage's sorted survivors plus a set comparison.
+    A pruning error by stage beta of child 0..n, then of the tree, is
+    raised.  The nodes left after beta passes are those of life at least
+    beta, read off the tree's table: no stage tree is built.
     """
     m = len(tree.children)
     if not (_is_natural(n) and n < m):
@@ -472,24 +478,17 @@ def restriction_check(
     )
     bound = (d_n + d_next) / 2
 
-    inner = [prune_steps(tree.children[k], beta) for k in range(n + 1)]
-    whole = prune_steps(tree, beta)
+    for child in tree.children[: n + 1]:
+        _raise_by(child, beta)
+    _raise_by(tree, beta)
     scale = _scale(tree)
-    left: set[int] = set()
-    for stage in inner:
-        left |= _survivors(stage, scale)
-    # the points at distance >= bound from z: scaled points are integers,
-    # so that is a prefix up to z - t and a suffix from z + t, with t the
-    # ceiling of the scaled bound
-    points = _sorted_survivors(whole, scale)
+    alive = [rows for life, rows in _table(tree).items() if life is None or life >= beta]
+    # scaled points are integers, so a point is at distance >= bound from
+    # z exactly when it is at least the ceiling of the scaled bound away
     z_scaled, t = _scaled(z, scale), ceil(bound * scale)
-    below = bisect_right(points, z_scaled - t)
-    above = max(below, bisect_left(points, z_scaled + t))
-    return (
-        len(left) == below + len(points) - above
-        and left.issuperset(points[:below])
-        and left.issuperset(points[above:])
-    )
+    left = {v for rows in alive for v, i in rows if i <= n}
+    right = {v for rows in alive for v, _ in rows if abs(v - z_scaled) >= t}
+    return left == right
 
 
 def audit_rank(tree: ClusterTree, exact: bool = True, _path: str = "/") -> Ordinal:

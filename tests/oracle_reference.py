@@ -3,16 +3,17 @@
 `geometry_check` recomputes every child subtree's point set and hull
 with set unions and exact rationals, and scans the children again for
 each annulus.  `restriction_check` compares sets of surviving centers
-directly.  Both are the straightforward readings of the separation and
+directly, on trees pruned by this module's own `prune`, applied beta
+times.  Both are the straightforward readings of the separation and
 restriction claims; `cbkit.oracle` answers the same questions from
-scaled-integer summaries, and the differential tests require identical
-reports.  Pruning itself is shared: it is the ground truth both readings
-are stated in.
+scaled-integer summaries and per-node lifetimes, and the differential
+tests require identical reports.
 
 `prune` and `char_by_pruning` are the probe-based reading of one
 derivative: each node regenerates its first tail child and asks whether
-that child has rank zero.  `cbkit.oracle` reads the same fact off the
-rank after one derivative.  These copies keep no memo on the trees.
+that child has rank zero, and every stage is a tree of its own.
+`cbkit.oracle` reads the same facts off each node's rank, in one walk.
+These copies keep no memo on the trees.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from cbkit.oracle import (
     GeometryReport,
     InfiniteRankError,
     StageBudgetError,
-    prune_steps,
 )
 from cbkit.ordinal import ONE, ZERO, Ordinal, left_sub
 from cbkit.realize import (
@@ -134,6 +134,15 @@ def restriction_check(
     whole = _surviving_centers(prune_steps(tree, beta))
     right = {p for p in whole if abs(p - z) >= bound}
     return left == right
+
+
+def prune_steps(tree: ClusterTree | None, k: int) -> ClusterTree | None:
+    """`prune` applied k times."""
+    for _ in range(k):
+        if tree is None:
+            break
+        tree = prune(tree)
+    return tree
 
 
 def prune(tree: ClusterTree) -> ClusterTree | None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -406,6 +407,38 @@ def test_verify_directory(capsys, tmp_path):
     assert code == 0
     assert [Path(r["tree"]).name for r in reports] == ["a.json", "b.json"]
     assert all(r["ok"] for r in reports)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_verify_dir_reports_a_fifo_without_opening_it(capsys, tmp_path):
+    trees = tmp_path / "trees"
+    trees.mkdir()
+    assert run(capsys, "realize", "1", "--out", str(trees / "a.json"))[0] == 0
+    os.mkfifo(trees / "b.json")
+    # a read of the FIFO would block for ever: the timeout turns that into a failure
+    proc = subprocess.run(
+        [sys.executable, "-m", "cbkit", "verify", str(trees)], capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stderr) == (2, f"cbkit: {trees / 'b.json'}: error: not a regular file\n")
+    first, second = json.loads(proc.stdout)
+    assert first["ok"] is True
+    assert second == {
+        "tree": str(trees / "b.json"),
+        "geometry": None,
+        "char_expected": None,
+        "char_pruned": None,
+        "ok": False,
+        "failures": ["input: not a regular file"],
+    }
+    # a single target is read whatever it is, here a pipe
+    proc = subprocess.run(
+        [sys.executable, "-m", "cbkit", "verify", "/dev/stdin"],
+        input=(trees / "a.json").read_text(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0 and json.loads(proc.stdout)["ok"] is True
 
 
 def test_verify_report_file(capsys, tmp_path):

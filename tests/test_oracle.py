@@ -117,10 +117,21 @@ def test_prune_memo_dies_with_its_tree():
     stages = [prune_steps(t, k) for k in range(1, 4)]
     restriction_check(t, 0, 2)
     geometry_check(t)
-    refs = [weakref.ref(x) for x in (t, *stages)]
-    del t, stages
+    finite = realize_multi(Ordinal.from_int(3), 2)
+    assert char_by_pruning(finite) == C(3, 2)
+    refs = [weakref.ref(x) for x in (t, *stages, *finite)]
+    del t, stages, finite
     gc.collect()
     assert [r() for r in refs] == [None] * len(refs)
+    # a failed pruning memoizes message text: no exception, whose traceback
+    # would reach back to the tree, keeps the tree alive
+    flipped = replace(realize_cluster(0, 1, ONE), tail=TailSpec(4, "limit"))
+    for check in (char_by_pruning, prune, lambda x: restriction_check(x, 0, 1)):
+        with pytest.raises(TreeInvariantError, match=r"^tail generator disagrees with rank$"):
+            check(flipped)
+    ref = weakref.ref(flipped)
+    del flipped
+    assert ref() is None
 
 
 def test_prune_memo_is_invisible():
@@ -133,6 +144,10 @@ def test_prune_memo_is_invisible():
             restriction_check(t, n, beta)
     geometry_check(t)
     assert t == fresh and (hash(t), tree_to_obj(t), repr(t)) == before
+    finite, fresh_finite = (realize_multi(Ordinal.from_int(3), 2) for _ in range(2))
+    assert char_by_pruning(finite) == C(3, 2)
+    for x, y in zip(finite, fresh_finite):
+        assert x == y and (hash(x), tree_to_obj(x), repr(x)) == (hash(y), tree_to_obj(y), repr(y))
     # `once` now carries memos of its own, a fresh pruning does not
     fresh_once = prune(fresh)
     assert (once, hash(once), tree_to_obj(once)) == (fresh_once, hash(fresh_once), tree_to_obj(fresh_once))
@@ -298,6 +313,17 @@ def test_restriction_full_grid_small():
         for n in range(len(t.children)):
             for beta in range(4):
                 assert restriction_check(t, n, beta)
+
+
+def test_restriction_builds_no_stage_tree(monkeypatch):
+    t = realize_cluster(0, 1, P("w^(2)"))
+    built = []
+    init = ClusterTree.__init__
+    monkeypatch.setattr(ClusterTree, "__init__", lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    for n in range(4):
+        for beta in range(4):
+            assert restriction_check(t, n, beta)
+    assert built == []
 
 
 def test_restriction_index_errors():

@@ -22,7 +22,7 @@ from cbkit.realize import (
     realize_cluster,
     tree_from_obj,
 )
-from cbkit.oracle import char_by_pruning, geometry_check, prune, restriction_check
+from cbkit.oracle import char_by_pruning, geometry_check, prune, prune_steps, restriction_check
 from helpers import FixedDraws, outcome, preorder_paths, replace_at, st_config
 
 RANKS = ("0", "1", "2", "3", "w", "w+1", "w*2", "w*2+3", "w^(2)", "w^(2)+w", "w^(w)")
@@ -134,14 +134,69 @@ def pruned_passes(prune_fn, tree: ClusterTree | None, passes: int = 4) -> list:
     kinds=["flipped", "extended"],
     data=FixedDraws(node=0, count=1, other="1"),
 )
+# a rank-1 root with a flipped generator raises at stage 1, so at cap 1 too
+@example(cfg=RealizationConfig(), rank="1", kinds=["flipped"], data=FixedDraws(node=0, other="1"))
+# a tailless root and no tail anywhere: no pass runs, so nothing raises
+@example(cfg=RealizationConfig(), rank="1", kinds=["tailless"], data=FixedDraws(node=0, other="0"))
 def test_pruning_matches_probe_reference(cfg, rank, kinds, data):
     tree = realize_cluster(Fraction(0), Fraction(1, 2), parse_ordinal(rank), cfg)
     for kind in kinds:
         tree = change_tail(tree, kind, cfg, data)
     assert pruned_passes(prune, tree) == pruned_passes(reference.prune, tree)
+    for k in range(6):
+        assert outcome(prune_steps, tree, k) == outcome(reference.prune_steps, tree, k), k
     other = realize_cluster(Fraction(4), Fraction(1, 2), parse_ordinal(data.draw(st.sampled_from(RANKS), label="other")), cfg)
     for forest in ([tree], [tree, other]):
-        assert outcome(lambda f: char_by_pruning(f, stage_cap=6), forest) == outcome(reference.char_by_pruning, forest, 6)
+        for cap in (0, 1, 2, 6):
+            assert outcome(lambda f: char_by_pruning(f, stage_cap=cap), forest) == outcome(
+                reference.char_by_pruning, forest, cap
+            ), cap
+    m = len(tree.children)
+    for n in sorted({*range(min(m, 4)), m}):
+        for beta in range(5):
+            assert outcome(restriction_check, tree, n, beta, cfg) == outcome(
+                reference.restriction_check, tree, n, beta, cfg
+            ), (n, beta)
+
+
+def ranked(center: int, rank: str, *children: ClusterTree, generator: str | None = None, tail: bool = True) -> ClusterTree:
+    """A node whose tail fits its rank, unless a generator is given or the tail is dropped."""
+    r = parse_ordinal(rank)
+    spec = TailSpec(len(children), generator or generator_for(r)) if tail and not r.is_zero else None
+    return ClusterTree(Fraction(center), Fraction(1, 8), r, children, spec)
+
+
+def test_pruning_errors_come_in_stage_order():
+    # the rank-3 child would fail at stage 3, but its rank-1 parent fails
+    # at stage 1 first, since the child outlives it
+    late = ranked(0, "1", ranked(1, "3", ranked(2, "5", ranked(3, "0"))))
+    # two stage-1 errors among the children: the first child's comes first
+    tie = ranked(0, "w", ranked(1, "1", ranked(2, "0"), tail=False), ranked(3, "1", ranked(4, "0"), generator="limit"))
+    # the root's own check comes before its children's, yet a restriction
+    # prunes child 0 on its own before the tree
+    own = ranked(0, "2", ranked(1, "1", ranked(2, "0"), tail=False), generator="limit")
+    outlive, tailless, generator = (
+        "materialized children outlive the tail probe",
+        "interior node without a tail rule",
+        "tail generator disagrees with rank",
+    )
+    assert outcome(prune_steps, late, 1) == ("TreeInvariantError", outlive)
+    assert outcome(prune_steps, tie, 1) == ("TreeInvariantError", tailless)
+    assert outcome(prune_steps, own, 1) == ("TreeInvariantError", generator)
+    assert outcome(restriction_check, own, 0, 1) == ("TreeInvariantError", tailless)
+    for tree in (late, tie, own):
+        for k in range(6):
+            assert outcome(prune_steps, tree, k) == outcome(reference.prune_steps, tree, k), k
+        for forest in ([tree], [tree, late], [tie, tree]):
+            for cap in range(4):
+                assert outcome(lambda f: char_by_pruning(f, stage_cap=cap), forest) == outcome(
+                    reference.char_by_pruning, forest, cap
+                ), cap
+        for n in range(len(tree.children)):
+            for beta in range(5):
+                assert outcome(restriction_check, tree, n, beta) == outcome(
+                    reference.restriction_check, tree, n, beta
+                ), (n, beta)
 
 
 def node(center: int, *children: ClusterTree) -> ClusterTree:
