@@ -23,7 +23,6 @@ from .ordinal import (
     OrdinalParseError,
     PrintBudgetError,
     SubtractionUndefinedError,
-    _is_natural,
     add,
     cmp,
     format_ordinal,
@@ -67,7 +66,6 @@ from .oracle import (
     GeometryReport,
     InfiniteRankError,
     ScaleBudgetError,
-    StageBudgetError,
     AuditError,
     audit_char,
     char_by_pruning,
@@ -79,7 +77,6 @@ _DOMAIN_LABELS = {
     SubtractionUndefinedError: "Undefined",
     NotLimitError: "NotLimit",
     InfiniteRankError: "InfiniteRank",
-    StageBudgetError: "StageBudgetExceeded",
     ScaleBudgetError: "ScaleBudgetExceeded",
     CensusBudgetError: "BudgetExceeded",
     NodeBudgetError: "NodeBudgetExceeded",
@@ -236,7 +233,7 @@ def _merge_geometry(reports: list[GeometryReport]) -> dict:
     ).to_obj()
 
 
-def _verify_file(path: Path, cfg: RealizationConfig, strict: bool, stage_cap: int) -> dict:
+def _verify_file(path: Path, cfg: RealizationConfig, strict: bool) -> dict:
     forest = load_forest(path, strict=strict)
     failures: list[str] = []
 
@@ -259,13 +256,9 @@ def _verify_file(path: Path, cfg: RealizationConfig, strict: bool, stage_cap: in
     char_pruned = None
     if all(t.rank.is_finite for t in forest):
         try:
-            char_pruned = char_by_pruning(forest, stage_cap=stage_cap)
+            char_pruned = char_by_pruning(forest)
         except TreeInvariantError as exc:
             failures.append(f"pruning: {exc}")
-        if char_pruned is not None and char_expected is not None and char_pruned != char_expected:
-            failures.append(
-                f"pruning: characteristic {char_pruned} disagrees with annotations {char_expected}"
-            )
 
     if not failures:
         # restriction identity only once the tree is structurally sound
@@ -299,13 +292,11 @@ def _failed_report(path: Path, failure: str) -> dict:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if not _is_natural(args.stage_cap, 1):
-        raise ValueError("--stage-cap must be >= 1")
     strict = _strict()
     cfg = _config_from_args(args)
     target = Path(args.target)
     if not target.is_dir():
-        report = _verify_file(target, cfg, strict, args.stage_cap)
+        report = _verify_file(target, cfg, strict)
         _emit(json.dumps(report, indent=2) + "\n", args.report)
         return 0 if report["ok"] else 1
     # an exhausted budget or bad input fails its file only; the others
@@ -317,9 +308,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             if not f.is_file():
                 # a FIFO would block the read until a writer came
                 raise OSError("not a regular file")
-            report = _verify_file(f, cfg, strict, args.stage_cap)
+            report = _verify_file(f, cfg, strict)
             file_code = 0 if report["ok"] else 1
-        except (StageBudgetError, ScaleBudgetError) as exc:
+        except ScaleBudgetError as exc:
             line = _domain_line(exc)
             print(f"cbkit: {f}: {line}", file=sys.stderr)
             report, file_code = _failed_report(f, f"budget: {line}"), 3
@@ -339,15 +330,11 @@ def _cmd_census(args: argparse.Namespace) -> int:
     return 0
 
 
+_AMBIENT_KINDS = {"finite": "finite", "countable": "countably_infinite", "uncountable": "uncountable"}
+
+
 def _cmd_classcount(args: argparse.Namespace) -> int:
-    if args.kind == "finite":
-        if args.n is None:
-            raise ValueError("finite ambient needs a size")
-        ambient = AmbientDescriptor.finite(args.n)
-    elif args.kind == "countable":
-        ambient = AmbientDescriptor.countably_infinite()
-    else:
-        ambient = AmbientDescriptor.uncountable()
+    ambient = AmbientDescriptor(_AMBIENT_KINDS[args.kind], args.n)
     print(_compact(class_count(ambient).to_obj()))
     return 0
 
@@ -406,7 +393,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = subs.add_parser("verify", help="audit tree files against all oracles")
     p_verify.add_argument("target", help="tree JSON file, or directory of them")
     p_verify.add_argument("--report", help="report JSON path (stdout when omitted)")
-    p_verify.add_argument("--stage-cap", type=int, default=32)
     _add_config_flags(p_verify)
     p_verify.set_defaults(handler=_cmd_verify)
 
@@ -418,7 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_census.set_defaults(handler=_cmd_census)
 
     p_count = subs.add_parser("classcount", help="number of classes over an ambient space")
-    p_count.add_argument("kind", choices=("finite", "countable", "uncountable"))
+    p_count.add_argument("kind", choices=tuple(_AMBIENT_KINDS))
     p_count.add_argument("n", type=int, nargs="?")
     p_count.set_defaults(handler=_cmd_classcount)
 

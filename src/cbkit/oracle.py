@@ -20,16 +20,16 @@ the same trees and share no code with pruning beyond the tree type.
 Results are memoized on the trees themselves, under private keys in the
 instance ``__dict__`` (as ``functools.cached_property`` does on frozen
 dataclasses): an interior node keeps its life and first pruning error
-(message text, not an exception), a node its one-pass pruning, and a
-tree one restriction table row per node.  The memo lives and dies with
-its tree; there is no process-wide cache to clear.  The hot loops of the
-geometry and restriction checks compare Python ints: centers scaled by
-the least common denominator of the tree's centers.  Realized trees have
-denominators 2*b^k for the schedule base b, so that scale is the largest
-denominator; for any other tree its bit length is at most the total bits
-of the denominators, and a scale longer than MAX_SCALE_BITS ends the
-check with ScaleBudgetError.  Fractions appear again only in a reported
-counterexample.
+(message text, not an exception), and a tree its center scale and one
+restriction table row per node.  The memo lives and dies with its tree,
+and no pickle carries it; there is no process-wide cache to clear.  The
+hot loops of the geometry and restriction checks compare Python ints:
+centers scaled by the least common denominator of the tree's centers.
+Realized trees have denominators 2*b^k for the schedule base b, so that
+scale is the largest denominator; for any other tree its bit length is
+at most the total bits of the denominators, and a scale longer than
+MAX_SCALE_BITS ends the check with ScaleBudgetError.  Fractions appear
+again only in a reported counterexample.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from .realize import (
 
 __all__ = [
     "InfiniteRankError",
-    "StageBudgetError",
     "ScaleBudgetError",
     "MAX_SCALE_BITS",
     "AnnulusIndexError",
@@ -82,10 +81,6 @@ class InfiniteRankError(ValueError):
     """Pruning to a finite set requires finite root ranks."""
 
 
-class StageBudgetError(RuntimeError):
-    """Pruning exceeded its stage budget without stabilizing."""
-
-
 class ScaleBudgetError(RuntimeError):
     """The common denominator of a tree's centers outgrew MAX_SCALE_BITS."""
 
@@ -109,7 +104,6 @@ def _as_forest(trees: ClusterTree | Iterable[ClusterTree]) -> tuple[ClusterTree,
 
 
 # Keys of the per-tree memos in a ClusterTree's instance __dict__.
-_PRUNED = "_cbkit_pruned"
 _FATE = "_cbkit_fate"
 _SCALE = "_cbkit_scale"
 _TABLE = "_cbkit_table"
@@ -166,10 +160,7 @@ def _stage(tree: ClusterTree, k: int) -> ClusterTree | None:
 
 def prune(tree: ClusterTree) -> ClusterTree | None:
     """One derivative pass: None when the whole subtree is isolated points."""
-    memo = tree.__dict__
-    if _PRUNED not in memo:
-        memo[_PRUNED] = prune_steps(tree, 1)
-    return memo[_PRUNED]
+    return prune_steps(tree, 1)
 
 
 def prune_forest(forest: ClusterTree | Iterable[ClusterTree]) -> tuple[ClusterTree, ...]:
@@ -219,21 +210,16 @@ def prune_trace(
     return reports
 
 
-def char_by_pruning(
-    forest: ClusterTree | Iterable[ClusterTree],
-    *,
-    stage_cap: int = 32,
-) -> CbChar:
+def char_by_pruning(forest: ClusterTree | Iterable[ClusterTree]) -> CbChar:
     """Characteristic read off by pruning alone, ignoring annotations.
 
     Rank equals the first stage with no tails left anywhere: from then on
     the survivors form a finite set, and its size is the count.  Without
     errors that is the largest life of a root; otherwise pruning raises
-    its first error, by stage and then tree order, unless the cap or a
-    forest without tails stops it first.  Roots of infinite rank would
-    survive every finite stage, so they are refused.
+    its first error, by stage and then tree order, unless the forest has
+    no tail at all.  Roots of infinite rank would survive every finite
+    stage, so they are refused.
     """
-    _require_natural(stage_cap, "stage_cap")
     current = _as_forest(forest)
     for t in current:
         if not t.rank.is_finite:
@@ -245,8 +231,6 @@ def char_by_pruning(
         # a forest keeps a tail up to its first error, whose stage trees
         # raise it; with no tail at all no pass runs
         stage = min(errors) if any(has_tail(t) for t in current) else 0
-    if stage > stage_cap:
-        raise StageBudgetError(f"no finite stage within {stage_cap} passes")
     survivors = count_nodes([p for p in (prune_steps(t, stage) for t in current) if p is not None])
     if survivors == 0:
         return EMPTY_CLASS
@@ -491,7 +475,7 @@ def restriction_check(
     return left == right
 
 
-def audit_rank(tree: ClusterTree, exact: bool = True, _path: str = "/") -> Ordinal:
+def audit_rank(tree: ClusterTree, exact: bool = True) -> Ordinal:
     """Validate rank annotations against the generation rules.
 
     Exact mode expects a freshly realized tree: children are the tail
@@ -500,38 +484,49 @@ def audit_rank(tree: ClusterTree, exact: bool = True, _path: str = "/") -> Ordin
     all at the predecessor rank, limit children strictly climbing below
     the parent.
     """
-    rank = tree.rank
-    if rank.is_zero:
-        if not tree.is_leaf:
-            raise AuditError(f"rank 0 node with children at {_path}")
-        return rank
-    if tree.tail is None:
-        raise AuditError(f"positive rank without a tail rule at {_path}")
-    generator = generator_for(rank)
-    if tree.tail.generator != generator:
-        raise AuditError(f"tail generator disagrees with rank at {_path}")
-    if exact and tree.tail.next_index != len(tree.children):
-        raise AuditError(f"children are not a tail prefix at {_path}")
-    previous: Ordinal | None = None
-    # every child of a successor node carries its predecessor
-    succ_rank = rank.pred() if generator == SUCCESSOR and tree.children else None
-    for i, child in enumerate(tree.children):
-        here = _child_path(_path, i)
-        if exact:
-            expected = succ_rank if succ_rank is not None else fundamental_seq(rank, i)
-            if child.rank != expected:
-                raise AuditError(f"child rank {child.rank} != {expected} at {here}")
-        elif succ_rank is not None:
-            if child.rank != succ_rank:
-                raise AuditError(f"successor child rank {child.rank} at {here}")
-        else:
-            if child.rank >= rank:
-                raise AuditError(f"limit child rank {child.rank} not below parent at {here}")
-            if previous is not None and child.rank <= previous:
-                raise AuditError(f"limit child ranks not climbing at {here}")
-            previous = child.rank
-        audit_rank(child, exact, here)
-    return rank
+    # scheduled rank of child i of a limit node, per (rank, i): the keys
+    # repeat across the tree
+    limit_ranks: dict[tuple[Ordinal, int], Ordinal] = {}
+
+    def visit(node: ClusterTree, path: str) -> None:
+        rank = node.rank
+        if rank.is_zero:
+            if not node.is_leaf:
+                raise AuditError(f"rank 0 node with children at {path}")
+            return
+        if node.tail is None:
+            raise AuditError(f"positive rank without a tail rule at {path}")
+        generator = generator_for(rank)
+        if node.tail.generator != generator:
+            raise AuditError(f"tail generator disagrees with rank at {path}")
+        if exact and node.tail.next_index != len(node.children):
+            raise AuditError(f"children are not a tail prefix at {path}")
+        previous: Ordinal | None = None
+        # every child of a successor node carries its predecessor
+        succ_rank = rank.pred() if generator == SUCCESSOR and node.children else None
+        for i, child in enumerate(node.children):
+            here = _child_path(path, i)
+            if exact:
+                expected = succ_rank
+                if expected is None:
+                    expected = limit_ranks.get((rank, i))
+                    if expected is None:
+                        expected = limit_ranks[rank, i] = fundamental_seq(rank, i)
+                if child.rank != expected:
+                    raise AuditError(f"child rank {child.rank} != {expected} at {here}")
+            elif succ_rank is not None:
+                if child.rank != succ_rank:
+                    raise AuditError(f"successor child rank {child.rank} at {here}")
+            else:
+                if child.rank >= rank:
+                    raise AuditError(f"limit child rank {child.rank} not below parent at {here}")
+                if previous is not None and child.rank <= previous:
+                    raise AuditError(f"limit child ranks not climbing at {here}")
+                previous = child.rank
+            visit(child, here)
+
+    visit(tree, "/")
+    return tree.rank
 
 
 def audit_char(forest: ClusterTree | Iterable[ClusterTree], exact: bool = True) -> CbChar:

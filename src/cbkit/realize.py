@@ -151,6 +151,10 @@ class ClusterTree:
     def centers(self) -> set[Fraction]:
         return {node.center for _, node in self.iter_nodes()}
 
+    def __getstate__(self) -> dict:
+        # pickles carry the fields only, not the oracles' memos
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
 
 def _child_path(parent: str, index: int) -> str:
     return ("" if parent == "/" else parent) + f"/{index}"

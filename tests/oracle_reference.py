@@ -25,7 +25,6 @@ from cbkit.oracle import (
     AnnulusIndexError,
     GeometryReport,
     InfiniteRankError,
-    StageBudgetError,
 )
 from cbkit.ordinal import ONE, ZERO, Ordinal, left_sub
 from cbkit.realize import (
@@ -176,6 +175,10 @@ def _prune(tree: ClusterTree, probes: dict) -> ClusterTree | None:
 
 def _has_tail(tree: ClusterTree) -> bool:
     return tree.tail is not None or any(_has_tail(c) for c in tree.children)
+
+
+class StageBudgetError(RuntimeError):
+    """The reference prunes one stage tree per pass, so it caps the passes."""
 
 
 def char_by_pruning(forest: list[ClusterTree], stage_cap: int = 32) -> CbChar:

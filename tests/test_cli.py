@@ -307,25 +307,21 @@ def test_verify_wrong_tail_generator(capsys, tmp_path):
     assert any(f.startswith("pruning: tail generator disagrees") for f in report["failures"])
 
 
-def test_verify_stage_cap_exhausted_exits_3(capsys, tmp_path):
-    out = tmp_path / "c.json"
-    assert run(capsys, "realize", "3", "--out", str(out))[0] == 0
-    code, report_text, err = run(capsys, "verify", str(out), "--stage-cap", "2")
-    assert (code, report_text) == (3, "")
-    assert err == "cbkit: StageBudgetExceeded: no finite stage within 2 passes\n"
-    assert run(capsys, "verify", str(out), "--stage-cap", "3")[0] == 0
+def test_verify_high_finite_rank(capsys, tmp_path):
+    # pruning reads each root's life in one walk, so no rank is too high
+    out = tmp_path / "t.json"
+    assert run(capsys, "realize", "40", "--depth", "2", "-m", "2", "--out", str(out))[0] == 0
+    code, report_text, err = run(capsys, "verify", str(out))
+    report = json.loads(report_text)
+    assert (code, err) == (0, "")
+    assert report["char_pruned"] == report["char_expected"] == {"rank": "40", "count": 1}
 
 
-@pytest.mark.parametrize("cap", ["0", "-1"])
-def test_verify_stage_cap_below_one_exits_2(capsys, tmp_path, cap):
-    out = tmp_path / "c.json"
-    assert run(capsys, "realize", "0", "--out", str(out))[0] == 0
-    code, report_text, err = run(capsys, "verify", str(out), "--stage-cap", cap)
-    assert (code, report_text, err) == (2, "", "cbkit: error: --stage-cap must be >= 1\n")
+SCALE_BUDGET = f"ScaleBudgetExceeded: common denominator of the centers exceeds {MAX_SCALE_BITS} bits"
 
 
-def test_verify_scale_budget_exits_3(capsys, tmp_path):
-    # two leaves whose coprime denominators together pass the scale budget
+def write_scale_budget_tree(path: Path) -> None:
+    """A tree whose two leaves' coprime denominators together pass the scale budget."""
     leaves = [
         {"center": f"1/{den}", "radius": "1/8", "rank": "0", "children": [], "tail": None}
         for den in (2 ** (MAX_SCALE_BITS - 1), 3)
@@ -337,11 +333,15 @@ def test_verify_scale_budget_exits_3(capsys, tmp_path):
         "children": leaves,
         "tail": {"next_index": 2, "generator": "successor"},
     }
+    path.write_text(json.dumps(tree))
+
+
+def test_verify_scale_budget_exits_3(capsys, tmp_path):
     out = tmp_path / "t.json"
-    out.write_text(json.dumps(tree))
+    write_scale_budget_tree(out)
     code, report_text, err = run(capsys, "verify", str(out))
     assert (code, report_text) == (3, "")
-    assert err == f"cbkit: ScaleBudgetExceeded: common denominator of the centers exceeds {MAX_SCALE_BITS} bits\n"
+    assert err == f"cbkit: {SCALE_BUDGET}\n"
 
 
 def test_verify_large_finite_part(capsys, tmp_path):
@@ -490,6 +490,9 @@ def test_classcount(capsys):
     assert run(capsys, "classcount", "countable")[1] == '{"kind":"aleph0"}\n'
     assert run(capsys, "classcount", "uncountable")[1] == '{"kind":"aleph1"}\n'
     assert run(capsys, "classcount", "finite")[0] == 2
+    for kind in ("countable", "uncountable"):
+        for n in ("5", "-3", "0"):
+            assert run(capsys, "classcount", kind, n) == (2, "", "cbkit: error: only finite ambients carry a size\n")
 
 
 # -------------------------------------------------------------------- wiring
@@ -626,20 +629,20 @@ def test_verify_thirds_tree_without_schedule_reports_restriction(capsys, tmp_pat
 def test_verify_dir_reports_each_budget(capsys, tmp_path):
     trees = tmp_path / "trees"
     trees.mkdir()
-    for rank in ("1", "3"):
-        assert run(capsys, "realize", rank, "--out", str(trees / f"r{rank}.json"))[0] == 0
-    code, report_text, err = run(capsys, "verify", str(trees), "--stage-cap", "2")
+    assert run(capsys, "realize", "1", "--out", str(trees / "r1.json"))[0] == 0
+    write_scale_budget_tree(trees / "s.json")
+    code, report_text, err = run(capsys, "verify", str(trees))
     assert code == 3
-    assert err == f"cbkit: {trees / 'r3.json'}: StageBudgetExceeded: no finite stage within 2 passes\n"
+    assert err == f"cbkit: {trees / 's.json'}: {SCALE_BUDGET}\n"
     first, second = json.loads(report_text)
     assert first["ok"] is True and first["char_pruned"] == {"rank": "1", "count": 1}
     assert second == {
-        "tree": str(trees / "r3.json"),
+        "tree": str(trees / "s.json"),
         "geometry": None,
         "char_expected": None,
         "char_pruned": None,
         "ok": False,
-        "failures": ["budget: StageBudgetExceeded: no finite stage within 2 passes"],
+        "failures": [f"budget: {SCALE_BUDGET}"],
     }
 
 
@@ -652,8 +655,8 @@ def test_verify_dir_exits_with_the_worst_code(capsys, tmp_path):
     obj["rank"] = "2"
     (trees / "b.json").write_text(json.dumps(obj))
     assert run(capsys, "verify", str(trees))[0] == 1
-    assert run(capsys, "realize", "3", "--out", str(trees / "c.json"))[0] == 0
-    assert run(capsys, "verify", str(trees), "--stage-cap", "2")[0] == 3
+    write_scale_budget_tree(trees / "c.json")
+    assert run(capsys, "verify", str(trees))[0] == 3
 
 
 def test_verify_dir_reports_bad_input(capsys, tmp_path):
@@ -680,16 +683,16 @@ def test_verify_dir_reports_bad_input(capsys, tmp_path):
             "failures": [f"input: {message}"],
         }
     # an exhausted budget outranks bad input, wherever the files sort
-    assert run(capsys, "realize", "3", "--out", str(trees / "d.json"))[0] == 0
+    write_scale_budget_tree(trees / "d.json")
     (trees / "e.json").write_text("")
-    code, report_text, err = run(capsys, "verify", str(trees), "--stage-cap", "2")
+    code, report_text, err = run(capsys, "verify", str(trees))
     assert code == 3
     kinds = [r["failures"][0].split(":")[0] for r in json.loads(report_text)[1:]]
     assert kinds == ["input", "input", "budget", "input"]
     assert err.splitlines() == [
         f"cbkit: {trees / 'b.json'}: error: {empty}",
         f"cbkit: {trees / 'c.json'}: error: {malformed}",
-        f"cbkit: {trees / 'd.json'}: StageBudgetExceeded: no finite stage within 2 passes",
+        f"cbkit: {trees / 'd.json'}: {SCALE_BUDGET}",
         f"cbkit: {trees / 'e.json'}: error: {empty}",
     ]
     # a single bad file still ends the run with no report

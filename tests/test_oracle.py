@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import pickle
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -31,7 +32,6 @@ from cbkit.oracle import (
     InfiniteRankError,
     MAX_SCALE_BITS,
     ScaleBudgetError,
-    StageBudgetError,
     audit_char,
     audit_rank,
     char_by_pruning,
@@ -96,11 +96,6 @@ def test_prune_steps_compose():
     assert prune_steps(t, 2) == prune(prune(t))
 
 
-def test_prune_is_memoized():
-    t = realize_cluster(0, 1, Ordinal.from_int(2))
-    assert prune(t) is prune(t)
-
-
 def test_oracle_keeps_no_module_level_cache():
     assert not hasattr(oracle, "_PRUNE_CACHE")
     assert not hasattr(oracle, "clear_prune_cache")
@@ -136,19 +131,22 @@ def test_prune_memo_dies_with_its_tree():
 
 def test_prune_memo_is_invisible():
     t, fresh = (realize_multi(parse_ordinal("w*2+1"), 1)[0] for _ in range(2))
-    before = (hash(t), tree_to_obj(t), repr(t))
+    before = (hash(t), tree_to_obj(t), repr(t), pickle.dumps(t))
     once = prune(t)
     prune_steps(t, 3)
     for n in range(4):
         for beta in range(4):
             restriction_check(t, n, beta)
     geometry_check(t)
-    assert t == fresh and (hash(t), tree_to_obj(t), repr(t)) == before
+    assert t == fresh and (hash(t), tree_to_obj(t), repr(t), pickle.dumps(t)) == before
     finite, fresh_finite = (realize_multi(Ordinal.from_int(3), 2) for _ in range(2))
     assert char_by_pruning(finite) == C(3, 2)
     for x, y in zip(finite, fresh_finite):
-        assert x == y and (hash(x), tree_to_obj(x), repr(x)) == (hash(y), tree_to_obj(y), repr(y))
-    # `once` now carries memos of its own, a fresh pruning does not
+        geometry_check(x)
+        restriction_check(x, 0, 1)
+        assert x == y
+        assert (hash(x), tree_to_obj(x), repr(x), pickle.dumps(x)) == (hash(y), tree_to_obj(y), repr(y), pickle.dumps(y))
+    # pruning a checked tree gives what pruning a fresh one does
     fresh_once = prune(fresh)
     assert (once, hash(once), tree_to_obj(once)) == (fresh_once, hash(fresh_once), tree_to_obj(fresh_once))
     assert prune(replace(t)) == once
@@ -216,13 +214,14 @@ def test_char_by_pruning_examples():
     assert char_by_pruning(realize_cluster(0, 1, ZERO)) == C(0, 1)
     assert char_by_pruning(realize_multi(Ordinal.from_int(3), 2)) == C(3, 2)
     assert char_by_pruning([]) == EMPTY_CLASS
+    # each root's life is read in one walk, however high the rank
+    cfg = RealizationConfig(children_per_node=2, max_depth=2)
+    assert char_by_pruning(realize_multi(Ordinal.from_int(40), 2, cfg)) == C(40, 2)
 
 
 def test_char_by_pruning_guards():
     with pytest.raises(InfiniteRankError):
         char_by_pruning(realize_multi(OMEGA, 1))
-    with pytest.raises(StageBudgetError):
-        char_by_pruning(realize_cluster(0, 1, Ordinal.from_int(5)), stage_cap=3)
 
 
 def test_single_step_agreement_with_derivative():

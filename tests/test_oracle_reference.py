@@ -22,7 +22,7 @@ from cbkit.realize import (
     realize_cluster,
     tree_from_obj,
 )
-from cbkit.oracle import char_by_pruning, geometry_check, prune, prune_steps, restriction_check
+from cbkit.oracle import audit_char, char_by_pruning, geometry_check, prune, prune_steps, restriction_check
 from helpers import FixedDraws, outcome, preorder_paths, replace_at, st_config
 
 RANKS = ("0", "1", "2", "3", "w", "w+1", "w*2", "w*2+3", "w^(2)", "w^(2)+w", "w^(w)")
@@ -134,7 +134,7 @@ def pruned_passes(prune_fn, tree: ClusterTree | None, passes: int = 4) -> list:
     kinds=["flipped", "extended"],
     data=FixedDraws(node=0, count=1, other="1"),
 )
-# a rank-1 root with a flipped generator raises at stage 1, so at cap 1 too
+# a rank-1 root with a flipped generator raises at stage 1
 @example(cfg=RealizationConfig(), rank="1", kinds=["flipped"], data=FixedDraws(node=0, other="1"))
 # a tailless root and no tail anywhere: no pass runs, so nothing raises
 @example(cfg=RealizationConfig(), rank="1", kinds=["tailless"], data=FixedDraws(node=0, other="0"))
@@ -147,16 +147,38 @@ def test_pruning_matches_probe_reference(cfg, rank, kinds, data):
         assert outcome(prune_steps, tree, k) == outcome(reference.prune_steps, tree, k), k
     other = realize_cluster(Fraction(4), Fraction(1, 2), parse_ordinal(data.draw(st.sampled_from(RANKS), label="other")), cfg)
     for forest in ([tree], [tree, other]):
-        for cap in (0, 1, 2, 6):
-            assert outcome(lambda f: char_by_pruning(f, stage_cap=cap), forest) == outcome(
-                reference.char_by_pruning, forest, cap
-            ), cap
+        assert outcome(char_by_pruning, forest) == outcome(reference.char_by_pruning, forest)
     m = len(tree.children)
     for n in sorted({*range(min(m, 4)), m}):
         for beta in range(5):
             assert outcome(restriction_check, tree, n, beta, cfg) == outcome(
                 reference.restriction_check, tree, n, beta, cfg
             ), (n, beta)
+
+
+FINITE_RANKS = ("0", "1", "2", "3", "4")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    cfg=st_config,
+    ranks=st.lists(st.sampled_from(FINITE_RANKS), min_size=1, max_size=3),
+    kinds=st.lists(st.sampled_from(TAIL_CHANGES + MUTATIONS), max_size=3),
+    data=st.data(),
+)
+def test_pruning_agrees_with_the_audit_whenever_both_return(cfg, ranks, kinds, data):
+    # verify reports both characteristics without comparing them: when the
+    # exact audit passes, pruning raises nothing and counts the same roots
+    forest = [realize_cluster(Fraction(4 * i), Fraction(1, 2), parse_ordinal(r), cfg) for i, r in enumerate(ranks)]
+    for kind in kinds:
+        i = data.draw(st.integers(0, len(forest) - 1), label="tree")
+        if kind in TAIL_CHANGES:
+            forest[i] = change_tail(forest[i], kind, cfg, data)
+        else:
+            forest[i] = mutate(forest[i], kind, data)
+    pruned, audited = outcome(char_by_pruning, forest), outcome(audit_char, forest)
+    if pruned[0] == audited[0] == "returned":
+        assert pruned == audited
 
 
 def ranked(center: int, rank: str, *children: ClusterTree, generator: str | None = None, tail: bool = True) -> ClusterTree:
@@ -188,10 +210,7 @@ def test_pruning_errors_come_in_stage_order():
         for k in range(6):
             assert outcome(prune_steps, tree, k) == outcome(reference.prune_steps, tree, k), k
         for forest in ([tree], [tree, late], [tie, tree]):
-            for cap in range(4):
-                assert outcome(lambda f: char_by_pruning(f, stage_cap=cap), forest) == outcome(
-                    reference.char_by_pruning, forest, cap
-                ), cap
+            assert outcome(char_by_pruning, forest) == outcome(reference.char_by_pruning, forest)
         for n in range(len(tree.children)):
             for beta in range(5):
                 assert outcome(restriction_check, tree, n, beta) == outcome(

@@ -59,7 +59,6 @@ NATURAL_PARAMS = [
     ("materialize_forest depth_budget", 1, lambda v: realize.materialize_forest([_RANK_ONE], v, 2), ValueError),
     ("prune_steps k", 0, lambda v: oracle.prune_steps(_RANK_ONE, v), ValueError),
     ("prune_trace max_stages", 0, lambda v: oracle.prune_trace(_RANK_ONE, max_stages=v), ValueError),
-    ("char_by_pruning stage_cap", 0, lambda v: oracle.char_by_pruning(_RANK_ONE, stage_cap=v), ValueError),
     ("restriction_check n", 0, lambda v: oracle.restriction_check(_RANK_ONE, v, 0), oracle.AnnulusIndexError),
     ("restriction_check beta", 0, lambda v: oracle.restriction_check(_RANK_ONE, 0, v), ValueError),
 ]
