@@ -171,12 +171,14 @@ def _open_untruncated(path: str, flags: int) -> int:
 def _outputs(*paths: str | None):
     """Open every given path for writing, all before the first byte is written.
 
-    Yields one file per path, None where the path is None.  An existing
-    regular file is truncated only once every path is open, so a failed
-    open leaves it as it was.  If an open or the run fails, the files this
-    call created are removed again.
+    Yields one file per path, None where the path is None.  Two paths
+    that open the same file, through an alias or a link, are refused.  An
+    existing regular file is truncated only once every path is open and
+    found distinct, so a refusal or a failed open leaves it as it was.  If
+    that or the run fails, the files this call created are removed again.
     """
-    created = [path for path in paths if path is not None and not os.path.exists(path)]
+    # a new file is made where a path resolves, past a dangling link
+    created = [os.path.realpath(path) for path in paths if path is not None and not os.path.exists(path)]
     with contextlib.ExitStack() as stack:
         try:
             files = [
@@ -184,9 +186,13 @@ def _outputs(*paths: str | None):
                 else stack.enter_context(open(path, "w", encoding="ascii", opener=_open_untruncated))
                 for path in paths
             ]
-            for f in files:
+            opened = [f for f in files if f is not None]
+            stats = [os.fstat(f.fileno()) for f in opened]
+            if any(os.path.samestat(a, b) for i, a in enumerate(stats) for b in stats[:i]):
+                raise ValueError("tree and point outputs must be distinct paths")
+            for f, info in zip(opened, stats):
                 # devices such as /dev/null refuse a truncate
-                if f is not None and stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                if stat.S_ISREG(info.st_mode):
                     f.truncate()
             yield files
         except BaseException:
@@ -201,8 +207,6 @@ def _cmd_realize(args: argparse.Namespace) -> int:
     strict = _strict()
     alpha = parse_ordinal(args.rank, strict=strict)
     cfg = _config_from_args(args)
-    if args.out is not None and args.points is not None and args.out == args.points:
-        raise ValueError("tree and point outputs must be distinct paths")
     depth = args.mat_depth if args.mat_depth is not None else max(1, cfg.max_depth)
     width = args.width if args.width is not None else cfg.children_per_node
     # bad input ends the run before any file is opened

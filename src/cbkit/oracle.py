@@ -14,8 +14,10 @@ Either way the tail family is gone exactly when the derived rank is 0.
 So in a tree that prunes without error a node of finite rank r survives
 exactly r passes and one of infinite rank every finite pass: its life.
 The stage-k tree keeps the nodes of life at least k, at their ranks
-after k derivatives.  Geometry and rank audits are separate lenses over
-the same trees and share no code with pruning beyond the tree type.
+after k derivatives; prune_trace counts them off one census of the
+lives and builds no stage tree.  Geometry and rank audits are separate
+lenses over the same trees and share no code with pruning beyond the
+tree type.
 
 Results are memoized on the trees themselves, under private keys in the
 instance ``__dict__`` (as ``functools.cached_property`` does on frozen
@@ -34,6 +36,7 @@ again only in a reported counterexample.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -175,7 +178,7 @@ def prune_steps(tree: ClusterTree, k: int) -> ClusterTree | None:
 
 
 def has_tail(tree: ClusterTree) -> bool:
-    return any(node.tail is not None for _, node in tree.iter_nodes())
+    return any(node.tail is not None for node in tree.iter_nodes())
 
 
 def count_nodes(forest: ClusterTree | Iterable[ClusterTree]) -> int:
@@ -197,16 +200,19 @@ def prune_trace(
 ) -> list[PruneReport]:
     """Node counts along successive passes, until empty or out of budget."""
     _require_natural(max_stages, "max_stages")
-    current = _as_forest(forest)
+    trees = _as_forest(forest)
+    lives = Counter(_fate(node)[0] for t in trees for node in t.iter_nodes())
+    last = None if None in lives else max(lives, default=0)  # the longest life
     reports: list[PruneReport] = []
+    before = sum(lives.values())
     for stage in range(1, max_stages + 1):
-        if not current:
+        if not before:
             break
-        before = count_nodes(current)
-        current = prune_forest(current)
-        after = count_nodes(current)
-        finite = not any(has_tail(t) for t in current)
-        reports.append(PruneReport(stage, before - after, after, finite))
+        for t in trees:
+            _raise_by(t, stage)
+        after = sum(n for life, n in lives.items() if life is None or life >= stage)
+        reports.append(PruneReport(stage, before - after, after, last is not None and last <= stage))
+        before = after
     return reports
 
 
@@ -277,17 +283,6 @@ class GeometryReport:
         }
 
 
-def _nodes(tree: ClusterTree) -> list[ClusterTree]:
-    """Every node of the tree, in no particular order."""
-    nodes = []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        nodes.append(node)
-        stack.extend(node.children)
-    return nodes
-
-
 # Bit length allowed to the scale of one tree.  Every scaled center is an
 # int of about that many bits, so the checks' memory grows with nodes times
 # scale bits, and many distinct prime denominators make the scale grow with
@@ -303,7 +298,7 @@ def _scale(tree: ClusterTree) -> int:
     memo = tree.__dict__
     if _SCALE not in memo:
         scale = 1
-        for node in _nodes(tree):
+        for node in tree.iter_nodes():
             if scale % node.center.denominator:
                 scale = lcm(scale, node.center.denominator)
                 if scale.bit_length() > MAX_SCALE_BITS:
@@ -427,7 +422,7 @@ def _table(tree: ClusterTree) -> dict[int | None, list[tuple[int, int]]]:
         scale = _scale(tree)
         table = memo[_TABLE] = {_fate(tree)[0]: [(_scaled(tree.center, scale), len(tree.children))]}
         for i, child in enumerate(tree.children):
-            for node in _nodes(child):
+            for node in child.iter_nodes():
                 table.setdefault(_fate(node)[0], []).append((_scaled(node.center, scale), i))
     return memo[_TABLE]
 

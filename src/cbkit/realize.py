@@ -27,7 +27,7 @@ from math import lcm
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .ordinal import Ordinal, _is_natural, _require_natural, format_ordinal, fundamental_seq, parse_ordinal
+from .ordinal import ONE, Ordinal, _is_natural, _require_natural, format_ordinal, fundamental_seq, parse_ordinal
 
 __all__ = [
     "SUCCESSOR",
@@ -139,17 +139,16 @@ class ClusterTree:
     def node_count(self) -> int:
         return 1 + sum(child.node_count() for child in self.children)
 
-    def iter_nodes(self) -> Iterator[tuple[str, "ClusterTree"]]:
-        """Every node with its path, in preorder."""
-        stack = [("/", self)]
+    def iter_nodes(self) -> Iterator["ClusterTree"]:
+        """Every node of the tree, this one first, in preorder."""
+        stack = [self]
         while stack:
-            path, node = stack.pop()
-            yield path, node
-            kids = node.children
-            stack.extend((_child_path(path, i), kids[i]) for i in range(len(kids) - 1, -1, -1))
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
     def centers(self) -> set[Fraction]:
-        return {node.center for _, node in self.iter_nodes()}
+        return {node.center for node in self.iter_nodes()}
 
     def __getstate__(self) -> dict:
         # pickles carry the fields only, not the oracles' memos
@@ -251,8 +250,11 @@ def _check_node_budget(alpha: Ordinal, p: int, cfg: RealizationConfig) -> None:
 
     Nothing is built.  The full-tree bound p * (1 + m + ... + m^depth)
     settles most calls.  Past the cap the nodes are counted exactly, one
-    level at a time with each distinct rank of a level once, and the count
-    stops as soon as it passes the cap.
+    level at a time with each distinct rank of a level once.  The count
+    looks one level ahead, which needs no child rank: each nonzero rank
+    has m children, and each of those but the children of rank 1 has m
+    children of its own.  So it stops as soon as the next level's
+    children pass the cap, before computing the ranks of that level.
     """
     m, cap = cfg.children_per_node, MAX_REALIZE_NODES
     total, width = 0, p
@@ -263,28 +265,27 @@ def _check_node_budget(alpha: Ordinal, p: int, cfg: RealizationConfig) -> None:
         width *= m
     else:
         return
-    total, depth_left = p, cfg.max_depth
+    # total counts the levels so far; least adds the grandchildren of the
+    # last one, a lower bound on the whole count
+    total = least = p
+    depth_left = cfg.max_depth
     level = {alpha: p}  # rank -> nodes of that rank on the level
-    while total <= cap and level and depth_left:
+    while least <= cap and level and depth_left:
+        parents = sum(count for rank, count in level.items() if not rank.is_zero)
+        total += parents * m
+        depth_left -= 1
+        least = total + (parents - level.get(ONE, 0)) * m * m if depth_left else total
         below: dict[Ordinal, int] = {}
-        for rank, count in level.items():
-            if rank.is_zero:
-                continue
-            total += count * m
-            if depth_left == 1:
-                continue
-            if rank.is_successor:
-                below[rank.pred()] = below.get(rank.pred(), 0) + count * m
-            elif total + count * m * m > cap:
-                # each child of a limit rank has m children of its own
-                total += count * m * m
-                break
-            else:
-                for n in range(m):
-                    child = fundamental_seq(rank, n)
-                    below[child] = below.get(child, 0) + count
-        level, depth_left = below, depth_left - 1
-    if total > cap:
+        if least <= cap and depth_left:
+            for rank, count in level.items():
+                if rank.is_successor:
+                    below[rank.pred()] = below.get(rank.pred(), 0) + count * m
+                elif not rank.is_zero:
+                    for n in range(m):
+                        child = fundamental_seq(rank, n)
+                        below[child] = below.get(child, 0) + count
+        level = below
+    if least > cap:
         raise NodeBudgetError(f"realization would build more than {cap} nodes")
 
 
@@ -498,66 +499,60 @@ MAX_TREE_DEPTH = 100
 
 
 def tree_from_obj(obj: dict, strict: bool = False) -> ClusterTree:
-    return _tree_from_obj(obj, strict, {}, {}, {}, 0)
+    return _loader(strict)(obj, 0)
 
 
-def _tree_from_obj(
-    obj: dict,
-    strict: bool,
-    ranks: dict[str, Ordinal],
-    radii: dict[str, Fraction],
-    tails: dict[tuple[int, str], TailSpec],
-    depth: int,
-) -> ClusterTree:
-    """tree_from_obj, sharing what repeats across the nodes of one load.
+def _loader(strict: bool) -> Callable[[object, int], ClusterTree]:
+    """A reader of tree objects for one load, sharing what repeats across its nodes.
 
-    ranks maps rank text to its value, radii radius text to its value and
-    tails (next_index, generator) to its TailSpec, so each is parsed or
-    built once per load; one load shares them, and strict is fixed for
-    that load.  Centers are all distinct and are read one by one.  depth
-    is the node's level below its root.
+    Rank texts, radius texts and (next_index, generator) pairs repeat, so
+    the reader parses or builds each once per load and shares the value.
+    Centers are all distinct and are read one by one.  The reader takes a
+    tree object and its level below its root.
     """
-    if depth > MAX_TREE_DEPTH:
-        raise ValueError(f"cluster tree deeper than {MAX_TREE_DEPTH} levels")
-    if not isinstance(obj, dict):
-        raise ValueError("cluster tree must be a JSON object")
-    missing = {"center", "radius", "rank", "children", "tail"} - obj.keys()
-    if missing:
-        raise ValueError(f"cluster tree object lacks {sorted(missing)}")
-    text = obj["rank"]
-    if not isinstance(text, str):
-        raise ValueError("rank must be ordinal text")
-    if not isinstance(obj["children"], list):
-        raise ValueError("children must be a list")
-    tail = None
-    if obj["tail"] is not None:
-        spec = obj["tail"]
-        if not isinstance(spec, dict) or {"next_index", "generator"} - spec.keys():
-            raise ValueError("tail must carry next_index and generator")
-        index, generator = spec["next_index"], spec["generator"]
-        # only an int and a str are shared: true and 1.0 equal 1 and hash
-        # alike, yet TailSpec refuses them
-        key = (index, generator) if type(index) is int and type(generator) is str else None
-        tail = tails.get(key)
-        if tail is None:
-            tail = TailSpec(index, generator)
-            if key is not None:
-                tails[key] = tail
-    center = fraction_from_text(obj["center"])
-    radius_text = obj["radius"]
-    radius = radii.get(radius_text) if isinstance(radius_text, str) else None
-    if radius is None:
-        radius = radii[radius_text] = fraction_from_text(radius_text)
-    rank = ranks.get(text)
-    if rank is None:
-        rank = ranks[text] = parse_ordinal(text, strict=strict)
-    return ClusterTree(
-        center,
-        radius,
-        rank,
-        tuple(_tree_from_obj(child, strict, ranks, radii, tails, depth + 1) for child in obj["children"]),
-        tail,
-    )
+    ranks: dict[str, Ordinal] = {}
+    radii: dict[str, Fraction] = {}
+    tails: dict[tuple[int, str], TailSpec] = {}
+
+    def load(obj: object, depth: int) -> ClusterTree:
+        if depth > MAX_TREE_DEPTH:
+            raise ValueError(f"cluster tree deeper than {MAX_TREE_DEPTH} levels")
+        if not isinstance(obj, dict):
+            raise ValueError("cluster tree must be a JSON object")
+        missing = {"center", "radius", "rank", "children", "tail"} - obj.keys()
+        if missing:
+            raise ValueError(f"cluster tree object lacks {sorted(missing)}")
+        text = obj["rank"]
+        if not isinstance(text, str):
+            raise ValueError("rank must be ordinal text")
+        if not isinstance(obj["children"], list):
+            raise ValueError("children must be a list")
+        tail = None
+        if obj["tail"] is not None:
+            spec = obj["tail"]
+            if not isinstance(spec, dict) or {"next_index", "generator"} - spec.keys():
+                raise ValueError("tail must carry next_index and generator")
+            index, generator = spec["next_index"], spec["generator"]
+            # only an int and a str are shared: true and 1.0 equal 1 and hash
+            # alike, yet TailSpec refuses them
+            key = (index, generator) if type(index) is int and type(generator) is str else None
+            tail = tails.get(key)
+            if tail is None:
+                tail = TailSpec(index, generator)
+                if key is not None:
+                    tails[key] = tail
+        center = fraction_from_text(obj["center"])
+        radius_text = obj["radius"]
+        radius = radii.get(radius_text) if isinstance(radius_text, str) else None
+        if radius is None:
+            radius = radii[radius_text] = fraction_from_text(radius_text)
+        rank = ranks.get(text)
+        if rank is None:
+            rank = ranks[text] = parse_ordinal(text, strict=strict)
+        children = tuple(load(child, depth + 1) for child in obj["children"])
+        return ClusterTree(center, radius, rank, children, tail)
+
+    return load
 
 
 def _write_forest(objs: Sequence[dict], write: Callable[[str], object]) -> None:
@@ -640,12 +635,10 @@ def dump_forest(forest: Sequence[ClusterTree], path: str | Path) -> None:
 
 def load_forest(path: str | Path, strict: bool = False) -> tuple[ClusterTree, ...]:
     data = _read_json(Path(path).read_text())
-    ranks: dict[str, Ordinal] = {}
-    radii: dict[str, Fraction] = {}
-    tails: dict[tuple[int, str], TailSpec] = {}
+    load = _loader(strict)
     if isinstance(data, list):
-        return tuple(_tree_from_obj(obj, strict, ranks, radii, tails, 0) for obj in data)
-    return (_tree_from_obj(data, strict, ranks, radii, tails, 0),)
+        return tuple(load(obj, 0) for obj in data)
+    return (load(data, 0),)
 
 
 # config key -> caster, read off the type of each field's default

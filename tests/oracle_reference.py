@@ -9,10 +9,11 @@ restriction claims; `cbkit.oracle` answers the same questions from
 scaled-integer summaries and per-node lifetimes, and the differential
 tests require identical reports.
 
-`prune` and `char_by_pruning` are the probe-based reading of one
-derivative: each node regenerates its first tail child and asks whether
-that child has rank zero, and every stage is a tree of its own.
-`cbkit.oracle` reads the same facts off each node's rank, in one walk.
+`prune`, `prune_trace` and `char_by_pruning` are the probe-based
+reading of one derivative: each node regenerates its first tail child
+and asks whether that child has rank zero, and every stage is a tree of
+its own, pruned from the one before.  `cbkit.oracle` reads the same
+facts off each node's rank, in one walk.
 These copies keep no memo on the trees.
 """
 
@@ -25,6 +26,7 @@ from cbkit.oracle import (
     AnnulusIndexError,
     GeometryReport,
     InfiniteRankError,
+    PruneReport,
 )
 from cbkit.ordinal import ONE, ZERO, Ordinal, left_sub
 from cbkit.realize import (
@@ -175,6 +177,19 @@ def _prune(tree: ClusterTree, probes: dict) -> ClusterTree | None:
 
 def _has_tail(tree: ClusterTree) -> bool:
     return tree.tail is not None or any(_has_tail(c) for c in tree.children)
+
+
+def prune_trace(forest: list[ClusterTree], *, max_stages: int = 32) -> list[PruneReport]:
+    """Node counts after each pass, one stage forest at a time."""
+    reports = []
+    for stage in range(1, max_stages + 1):
+        if not forest:
+            break
+        before = sum(t.node_count() for t in forest)
+        forest = [p for p in map(prune, forest) if p is not None]
+        after = sum(t.node_count() for t in forest)
+        reports.append(PruneReport(stage, before - after, after, not any(_has_tail(t) for t in forest)))
+    return reports
 
 
 class StageBudgetError(RuntimeError):

@@ -219,6 +219,26 @@ def test_realize_path_collision(capsys, tmp_path):
     assert run(capsys, "realize", "1", "--out", p, "--points", p)[0] == 2
 
 
+@pytest.mark.parametrize("existing", [None, "an older tree\n"], ids=["new", "existing"])
+@pytest.mark.parametrize("alias", ["./a.json", "link.json"], ids=["dot", "symlink"])
+def test_realize_aliased_outputs_write_nothing(capsys, monkeypatch, tmp_path, alias, existing):
+    # both names open one file, where the tree would overwrite the points;
+    # the link dangles until a.json exists
+    monkeypatch.chdir(tmp_path)
+    if alias == "link.json":
+        os.symlink("a.json", alias)
+    if existing is not None:
+        Path("a.json").write_text(existing)
+
+    def state() -> dict:
+        return {p.name: os.readlink(p) if p.is_symlink() else p.read_bytes() for p in tmp_path.iterdir()}
+
+    before = state()
+    code, stdout, err = run(capsys, "realize", "2", "--out", "a.json", "--points", alias)
+    assert (code, stdout, err) == (2, "", "cbkit: error: tree and point outputs must be distinct paths\n")
+    assert state() == before
+
+
 def test_realize_config_flags(capsys, tmp_path):
     out = tmp_path / "t.json"
     code, _, _ = run(capsys, "realize", "1", "--out", str(out), "-m", "3", "--depth", "2")

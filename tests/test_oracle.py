@@ -154,7 +154,7 @@ def test_prune_memo_is_invisible():
 
 def test_prune_updates_successor_annotations():
     t = realize_cluster(0, 1, Ordinal.from_int(3))
-    ranks = Counter(int(node.rank) for _, node in prune(t).iter_nodes())
+    ranks = Counter(int(node.rank) for node in prune(t).iter_nodes())
     # every surviving node dropped by exactly one; the leaves vanished
     assert ranks == Counter({2: 1, 1: 4, 0: 16})
 

@@ -22,7 +22,15 @@ from cbkit.realize import (
     realize_cluster,
     tree_from_obj,
 )
-from cbkit.oracle import audit_char, char_by_pruning, geometry_check, prune, prune_steps, restriction_check
+from cbkit.oracle import (
+    audit_char,
+    char_by_pruning,
+    geometry_check,
+    prune,
+    prune_steps,
+    prune_trace,
+    restriction_check,
+)
 from helpers import FixedDraws, outcome, preorder_paths, replace_at, st_config
 
 RANKS = ("0", "1", "2", "3", "w", "w+1", "w*2", "w*2+3", "w^(2)", "w^(2)+w", "w^(w)")
@@ -181,11 +189,52 @@ def test_pruning_agrees_with_the_audit_whenever_both_return(cfg, ranks, kinds, d
         assert pruned == audited
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    cfg=st_config,
+    ranks=st.lists(st.sampled_from(PRUNE_RANKS), min_size=1, max_size=3),
+    kinds=st.lists(st.sampled_from(TAIL_CHANGES), max_size=3),
+    max_stages=st.integers(0, 8),
+    data=st.data(),
+)
+# an infinite root outlives every stage: the set is never finite
+@example(cfg=RealizationConfig(2, "binary", "right", 2), ranks=["w"], kinds=[], max_stages=8, data=FixedDraws())
+# the rank-2 tree's child, retyped to rank 3, outlives it: stage 2 raises
+@example(
+    cfg=RealizationConfig(2, "binary", "right", 1),
+    ranks=["1", "2"],
+    kinds=["retyped"],
+    max_stages=8,
+    data=FixedDraws(tree=1, node=1, rank="3"),
+)
+# a rank-30 root: thirty stages, and finite only at the last
+@example(cfg=RealizationConfig(2, "binary", "right", 1), ranks=["30"], kinds=[], max_stages=30, data=FixedDraws())
+def test_prune_trace_matches_pass_by_pass_reference(cfg, ranks, kinds, max_stages, data):
+    forest = [realize_cluster(Fraction(4 * i), Fraction(1, 2), parse_ordinal(r), cfg) for i, r in enumerate(ranks)]
+    for kind in kinds:
+        i = data.draw(st.integers(0, len(forest) - 1), label="tree")
+        forest[i] = change_tail(forest[i], kind, cfg, data)
+    assert outcome(lambda f: prune_trace(f, max_stages=max_stages), forest) == outcome(
+        lambda f: reference.prune_trace(f, max_stages=max_stages), forest
+    )
+
+
 def ranked(center: int, rank: str, *children: ClusterTree, generator: str | None = None, tail: bool = True) -> ClusterTree:
     """A node whose tail fits its rank, unless a generator is given or the tail is dropped."""
     r = parse_ordinal(rank)
     spec = TailSpec(len(children), generator or generator_for(r)) if tail and not r.is_zero else None
     return ClusterTree(Fraction(center), Fraction(1, 8), r, children, spec)
+
+
+def test_prune_trace_of_a_chain():
+    # one node of each rank from 30 down to 0, each the next one's parent
+    chain = ranked(0, "0")
+    for r in range(1, 31):
+        chain = ranked(r, str(r), chain)
+    reports = prune_trace(chain, max_stages=30)
+    assert reports == reference.prune_trace([chain], max_stages=30)
+    assert [(r.stage, r.removed, r.survivors) for r in reports] == [(k, 1, 31 - k) for k in range(1, 31)]
+    assert [r.finite_reached for r in reports] == [False] * 29 + [True]
 
 
 def test_pruning_errors_come_in_stage_order():

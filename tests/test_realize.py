@@ -60,6 +60,18 @@ def test_rank_one_centers_match_schedule():
     assert all(c.is_leaf for c in t.children)
 
 
+def test_iter_nodes_in_preorder():
+    def node(center: int, *children: ClusterTree) -> ClusterTree:
+        tail = TailSpec(len(children), "successor") if children else None
+        return ClusterTree(F(center), F(1, 8), ONE if children else ZERO, children, tail)
+
+    tree = node(0, node(1, node(2), node(3, node(4))), node(5), node(6, node(7)))
+    nodes = list(tree.iter_nodes())
+    assert all(isinstance(n, ClusterTree) for n in nodes)
+    assert [n.center for n in nodes] == [F(c) for c in range(8)]
+    assert nodes[0] is tree and nodes[3] is tree.children[0].children[1]
+
+
 def test_epsilon_formula():
     # eps_1 = half of min(r_0 - r_1, r_1 - r_2) = min(1/4, 1/8)/2
     x1, eps1 = child_geometry(CFG3, F(0), F(1), 1)
@@ -336,7 +348,7 @@ def test_forest_file_round_trip(tmp_path):
 def test_load_shares_radii_and_tails(tmp_path):
     path = tmp_path / "two.json"
     dump_forest(realize_multi(P("w^(2)+w"), 2), path)
-    nodes = [node for tree in load_forest(path) for _, node in tree.iter_nodes()]
+    nodes = [node for tree in load_forest(path) for node in tree.iter_nodes()]
     radii: dict[Fraction, Fraction] = {}
     tails: dict[TailSpec, TailSpec] = {}
     for node in nodes:
@@ -402,7 +414,9 @@ def test_config_file_keys_are_the_config_fields(tmp_path):
 # ---------------------------------------------------------------- node budget
 
 
-@pytest.mark.parametrize("rank", ["0", "1", "3", "w", "w+2", "w*2", "w^(2)", "w^(w)"])
+@pytest.mark.parametrize(
+    "rank", ["0", "1", "3", "w", "w+2", "w*2", "w^(2)", "w^(w)", "w^(w)+1", "w^(w+1)", "w^(w^(w))"]
+)
 @pytest.mark.parametrize("m, depth", [(2, 0), (2, 5), (3, 3), (4, 4)])
 def test_node_budget_counts_exactly(monkeypatch, rank, m, depth):
     cfg = RealizationConfig(children_per_node=m, max_depth=depth)
@@ -422,6 +436,23 @@ def test_node_budget_refuses_without_building(rank, p, m, depth):
     # each would build far more than MAX_REALIZE_NODES nodes
     with pytest.raises(NodeBudgetError):
         realize_module._check_node_budget(P(rank), p, RealizationConfig(children_per_node=m, max_depth=depth))
+
+
+@pytest.mark.parametrize("rank, m, depth", [("w^(w^(w))", 12, 6), ("w^(w)", 12, 6), ("w^(w^(w))", 3, 14)])
+def test_node_budget_refuses_before_the_last_level(monkeypatch, rank, m, depth):
+    # every rank on a level is distinct, so a count that computes the
+    # child ranks of the level past the cap computes hundreds of thousands
+    calls = 0
+
+    def counted(lam, n):
+        nonlocal calls
+        calls += 1
+        return fundamental_seq(lam, n)
+
+    monkeypatch.setattr(realize_module, "fundamental_seq", counted)
+    with pytest.raises(NodeBudgetError):
+        realize_module._check_node_budget(P(rank), 1, RealizationConfig(children_per_node=m, max_depth=depth))
+    assert calls < 100_000
 
 
 def test_node_budget_follows_ranks_past_the_bound():
