@@ -64,7 +64,6 @@ from .realize import (
 )
 from .oracle import (
     GeometryReport,
-    InfiniteRankError,
     ScaleBudgetError,
     AuditError,
     audit_char,
@@ -76,7 +75,6 @@ from .oracle import (
 _DOMAIN_LABELS = {
     SubtractionUndefinedError: "Undefined",
     NotLimitError: "NotLimit",
-    InfiniteRankError: "InfiniteRank",
     ScaleBudgetError: "ScaleBudgetExceeded",
     CensusBudgetError: "BudgetExceeded",
     NodeBudgetError: "NodeBudgetExceeded",

@@ -37,7 +37,7 @@ again only in a reported counterexample.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import accumulate
 from math import ceil, lcm
@@ -254,13 +254,9 @@ class AnnulusCheck:
     bound: Fraction
 
     def to_obj(self) -> dict:
-        return {
-            "path": self.path,
-            "annulus": self.annulus,
-            "claim": self.claim,
-            "point": fraction_to_text(self.point),
-            "bound": fraction_to_text(self.bound),
-        }
+        obj = {f.name: getattr(self, f.name) for f in fields(self)}
+        obj["point"], obj["bound"] = fraction_to_text(self.point), fraction_to_text(self.bound)
+        return obj
 
 
 @dataclass(frozen=True)
@@ -273,14 +269,9 @@ class GeometryReport:
     counterexample: AnnulusCheck | None
 
     def to_obj(self) -> dict:
-        return {
-            "ok": self.ok,
-            "annuli": self.annuli,
-            "claim1_ok": self.claim1_ok,
-            "claim2_ok": self.claim2_ok,
-            "claim3_ok": self.claim3_ok,
-            "counterexample": None if self.counterexample is None else self.counterexample.to_obj(),
-        }
+        obj = {f.name: getattr(self, f.name) for f in fields(self)}
+        obj["counterexample"] = None if self.counterexample is None else self.counterexample.to_obj()
+        return obj
 
 
 # Bit length allowed to the scale of one tree.  Every scaled center is an

@@ -250,16 +250,15 @@ def mul(a: Ordinal | int, b: Ordinal | int) -> Ordinal:
     a, b = _require(a), _require(b)
     if not a.terms or not b.terms:
         return ZERO
-    lead_exp, lead_coeff = a.terms[0]
-    total = ZERO
-    for exponent, coefficient in b.terms:
-        if exponent.is_zero:
-            # finite right factor scales only the leading term of a
-            piece = Ordinal(((lead_exp, lead_coeff * coefficient),) + a.terms[1:])
-        else:
-            piece = Ordinal(((add(lead_exp, exponent), coefficient),))
-        total = add(total, piece)
-    return total
+    # a term w^(e)*c of b with e > 0 gives w^(lead+e)*c, and a finite last
+    # term n gives a with its leading coefficient times n; the pieces'
+    # leading exponents strictly decrease, so the product is their terms
+    # in order
+    (lead, coefficient), rest = a.terms[0], a.terms[1:]
+    terms = tuple((add(lead, e), c) for e, c in b.terms if e.terms)
+    if b.is_successor:
+        terms += ((lead, coefficient * b.terms[-1][1]),) + rest
+    return Ordinal(terms)
 
 
 def omega_pow(a: Ordinal | int) -> Ordinal:

@@ -1,15 +1,19 @@
-"""Reference ordinal order: the term-by-term walk over normal forms.
+"""Reference ordinal order and product, written out the long way.
 
 `cbkit.ordinal` compares normal forms as Python tuples of their terms.
-This is the walk that order stands for, written out: the first term
+`cmp` is the walk that order stands for, written out: the first term
 that differs decides, a larger exponent before a larger coefficient,
 exponents compared by the same walk one level down, and a proper prefix
-is smaller.  The differential tests require the two to agree.
+is smaller.
+
+`cbkit.ordinal.mul` splices the pieces of a product into one normal
+form.  `mul` here sums the same pieces with `add`, which works their
+order out again.  The differential tests require each pair to agree.
 """
 
 from __future__ import annotations
 
-from cbkit.ordinal import Ordinal
+from cbkit.ordinal import ZERO, Ordinal, add
 
 
 def cmp(a: Ordinal, b: Ordinal) -> int:
@@ -23,6 +27,22 @@ def cmp(a: Ordinal, b: Ordinal) -> int:
     if len(a.terms) == len(b.terms):
         return 0
     return -1 if len(a.terms) < len(b.terms) else 1
+
+
+def mul(a: Ordinal, b: Ordinal) -> Ordinal:
+    """a * b as the sum of a * w^(e)*c over the terms of b."""
+    if not a.terms or not b.terms:
+        return ZERO
+    lead_exp, lead_coeff = a.terms[0]
+    total = ZERO
+    for exponent, coefficient in b.terms:
+        if exponent.is_zero:
+            # finite right factor scales only the leading term of a
+            piece = Ordinal(((lead_exp, lead_coeff * coefficient),) + a.terms[1:])
+        else:
+            piece = Ordinal(((add(lead_exp, exponent), coefficient),))
+        total = add(total, piece)
+    return total
 
 
 def strictly_decreasing(exponents: list[Ordinal]) -> bool:

@@ -294,6 +294,19 @@ def test_geometry_report_serialization():
     assert obj["counterexample"]["point"] == "3/8"
 
 
+def test_geometry_report_key_order():
+    # the README's report order, field by field; dict equality ignores it
+    t = realize_cluster(0, 1, ONE)
+    keys = ["ok", "annuli", "claim1_ok", "claim2_ok", "claim3_ok", "counterexample"]
+    assert list(geometry_check(t).to_obj()) == keys
+    report = geometry_check(replace_node(t, (2,), center=F(2, 5)))
+    assert list(report.to_obj()) == keys
+    obj = report.counterexample.to_obj()
+    assert list(obj) == ["path", "annulus", "claim", "point", "bound"]
+    assert (obj["point"], obj["bound"]) == ("2/5", "3/8")
+    assert report.to_obj()["counterexample"] == obj
+
+
 # ---------------------------------------------------------------- restriction
 
 

@@ -13,7 +13,7 @@ from dataclasses import fields, replace
 from functools import cmp_to_key
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cbkit import ordinal
 from cbkit.ordinal import (
@@ -86,6 +86,8 @@ def test_mul_examples():
     # frozen from the triple oracle: (0,2,0)*(0,1,0) = (1,0,0)
     assert tmul((0, 2, 0), (0, 1, 0)) == (1, 0, 0)
     assert mul(P("w*2"), OMEGA) == W2
+    assert format_ordinal(mul(P("w^(w)+1"), P("w*2+3"))) == "w^(w+1)*2+w^(w)*3+1"
+    assert format_ordinal(mul(P("w^(w)*2+w+3"), 4)) == "w^(w)*8+w+3"
 
 
 def test_omega_pow_examples():
@@ -361,6 +363,17 @@ def test_sorted_matches_reference(values):
     values = values + [c for v in values[:2] for c in neighbours(v)]
     by_reference = sorted(values, key=cmp_to_key(reference.cmp))
     assert [str(v) for v in sorted(values)] == [str(v) for v in by_reference]
+
+
+# the law tests above draw below w^w; these pairs nest exponents, and the
+# reference sums the pieces of the product with add instead of splicing them
+@settings(max_examples=300, deadline=None)
+@given(st_nested_ordinal, st_nested_ordinal)
+@example(Ordinal.from_int(3), OMEGA)
+@example(P("w^(w)+1"), P("w*2+3"))
+@example(P("w^(w)*2+w+3"), Ordinal.from_int(4))
+def test_mul_matches_reference(a, b):
+    assert mul(a, b) == reference.mul(a, b)
 
 
 def term_text(exponent: Ordinal, coefficient: int) -> str:
