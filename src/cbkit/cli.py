@@ -23,6 +23,7 @@ from .ordinal import (
     OrdinalParseError,
     PrintBudgetError,
     SubtractionUndefinedError,
+    _parse_natural,
     add,
     cmp,
     format_ordinal,
@@ -118,9 +119,8 @@ def _cmd_ord(args: argparse.Namespace) -> int:
     strict = _strict()
     a = parse_ordinal(args.lhs, strict=strict)
     if args.op == "fs":
-        try:
-            n = int(args.rhs)
-        except ValueError:
+        n = _parse_natural(args.rhs)
+        if n is None:
             raise OrdinalParseError(f"fs index must be a natural number: {args.rhs!r}", 0)
         print(format_ordinal(fundamental_seq(a, n)))
         return 0

@@ -22,11 +22,12 @@ tree type.
 Results are memoized on the trees themselves, under private keys in the
 instance ``__dict__`` (as ``functools.cached_property`` does on frozen
 dataclasses): an interior node keeps its life and first pruning error
-(message text, not an exception), and a tree its center scale and one
-restriction table row per node.  The memo lives and dies with its tree,
-and no pickle carries it; there is no process-wide cache to clear.  The
-hot loops of the geometry and restriction checks compare Python ints:
-centers scaled by the least common denominator of the tree's centers.
+(message text, not an exception), and a tree its center scale and its
+scaled centers grouped by life and child for the restriction checks.
+The memo lives and dies with its tree, and no pickle carries it; there
+is no process-wide cache to clear.  The hot loops of the geometry and
+restriction checks compare Python ints: centers scaled by the least
+common denominator of the tree's centers.
 Realized trees have denominators 2*b^k for the schedule base b, so that
 scale is the largest denominator; for any other tree its bit length is
 at most the total bits of the denominators, and a scale longer than
@@ -36,7 +37,7 @@ again only in a reported counterexample.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import accumulate
@@ -405,16 +406,26 @@ def geometry_check(tree: ClusterTree) -> GeometryReport:
     )
 
 
-def _table(tree: ClusterTree) -> dict[int | None, list[tuple[int, int]]]:
-    """The tree's nodes by life, as (scaled center, index of the root's child
-    holding it); the root's own index is len(tree.children).  Memoized."""
+def _table(tree: ClusterTree) -> list[tuple[int | None, int, list[int], int, int]]:
+    """The tree's nodes in groups of one life and one child of the root.
+
+    A group is (life, index of the child, the scaled centers, their least
+    and greatest distance to the root's center); the root's own index is
+    len(tree.children).  Memoized.
+    """
     memo = tree.__dict__
     if _TABLE not in memo:
         scale = _scale(tree)
-        table = memo[_TABLE] = {_fate(tree)[0]: [(_scaled(tree.center, scale), len(tree.children))]}
+        z = _scaled(tree.center, scale)
+        groups: defaultdict[tuple[int | None, int], list[int]] = defaultdict(list)
+        groups[_fate(tree)[0], len(tree.children)].append(z)
         for i, child in enumerate(tree.children):
             for node in child.iter_nodes():
-                table.setdefault(_fate(node)[0], []).append((_scaled(node.center, scale), i))
+                groups[_fate(node)[0], i].append(_scaled(node.center, scale))
+        table = memo[_TABLE] = []
+        for (life, i), points in groups.items():
+            distances = [abs(v - z) for v in points]
+            table.append((life, i, points, min(distances), max(distances)))
     return memo[_TABLE]
 
 
@@ -433,7 +444,9 @@ def restriction_check(
 
     A pruning error by stage beta of child 0..n, then of the tree, is
     raised.  The nodes left after beta passes are those of life at least
-    beta, read off the tree's table: no stage tree is built.
+    beta, read off the tree's table: no stage tree is built, and a case
+    reads the points themselves only when a later child reaches past the
+    sphere.
     """
     m = len(tree.children)
     if not (_is_natural(n) and n < m):
@@ -452,13 +465,20 @@ def restriction_check(
         _raise_by(child, beta)
     _raise_by(tree, beta)
     scale = _scale(tree)
-    alive = [rows for life, rows in _table(tree).items() if life is None or life >= beta]
     # scaled points are integers, so a point is at distance >= bound from
     # z exactly when it is at least the ceiling of the scaled bound away
     z_scaled, t = _scaled(z, scale), ceil(bound * scale)
-    left = {v for rows in alive for v, i in rows if i <= n}
-    right = {v for rows in alive for v, _ in rows if abs(v - z_scaled) >= t}
-    return left == right
+    groups = [g for g in _table(tree) if g[0] is None or g[0] >= beta]
+    # the left side is the points of children 0..n, the right side every
+    # point at least t away: a left point nearer than t is missing on the
+    # right, and only the groups of later children reaching t can add one
+    if any(i <= n and nearest < t for _, i, _, nearest, _ in groups):
+        return False
+    far = [points for _, i, points, _, farthest in groups if i > n and farthest >= t]
+    if not far:
+        return True
+    left = {v for _, i, points, _, _ in groups if i <= n for v in points}
+    return all(v in left for points in far for v in points if abs(v - z_scaled) >= t)
 
 
 def audit_rank(tree: ClusterTree, exact: bool = True) -> Ordinal:

@@ -18,6 +18,7 @@ so ``w^(w)*2+w*3+5`` denotes ``w^w * 2 + w * 3 + 5``.
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass
 from typing import Callable, NoReturn
@@ -111,9 +112,22 @@ class Ordinal:
             prev = exponent
 
     @classmethod
+    def _from_normal(cls, terms: tuple[tuple["Ordinal", int], ...]) -> "Ordinal":
+        """An ordinal of terms already in normal form, built without the checks.
+
+        For values the module derives itself, as Fraction._from_coprime_ints
+        does for fractions.  The attribute goes through object.__setattr__,
+        as the frozen __init__ sets it, so the instance dict is not
+        materialized.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "terms", terms)
+        return self
+
+    @classmethod
     def from_int(cls, n: int) -> "Ordinal":
         _require_natural(n, "n")
-        return cls() if n == 0 else cls(((ZERO, n),))
+        return cls._from_normal(((ZERO, n),) if n else ())
 
     @property
     def is_zero(self) -> bool:
@@ -137,8 +151,8 @@ class Ordinal:
             raise ValueError(f"not a successor ordinal: {self}")
         head, (exponent, coefficient) = self.terms[:-1], self.terms[-1]
         if coefficient > 1:
-            return Ordinal(head + ((exponent, coefficient - 1),))
-        return Ordinal(head)
+            return Ordinal._from_normal(head + ((exponent, coefficient - 1),))
+        return Ordinal._from_normal(head)
 
     def __int__(self) -> int:
         if not self.is_finite:
@@ -242,7 +256,7 @@ def add(a: Ordinal | int, b: Ordinal | int) -> Ordinal:
         else:
             break
     rest = b.terms[1:] if merged else b.terms
-    return Ordinal(tuple(head) + rest)
+    return Ordinal._from_normal(tuple(head) + rest)
 
 
 def mul(a: Ordinal | int, b: Ordinal | int) -> Ordinal:
@@ -258,12 +272,12 @@ def mul(a: Ordinal | int, b: Ordinal | int) -> Ordinal:
     terms = tuple((add(lead, e), c) for e, c in b.terms if e.terms)
     if b.is_successor:
         terms += ((lead, coefficient * b.terms[-1][1]),) + rest
-    return Ordinal(terms)
+    return Ordinal._from_normal(terms)
 
 
 def omega_pow(a: Ordinal | int) -> Ordinal:
     """w raised to the ordinal a."""
-    return Ordinal(((_require(a), 1),))
+    return Ordinal._from_normal(((_require(a), 1),))
 
 
 def left_sub(b: Ordinal | int, a: Ordinal | int) -> Ordinal:
@@ -275,14 +289,14 @@ def left_sub(b: Ordinal | int, a: Ordinal | int) -> Ordinal:
         if be.terms > ae.terms:
             raise SubtractionUndefinedError(f"{b} > {a}")
         if be.terms < ae.terms:
-            return Ordinal(a.terms[i:])
+            return Ordinal._from_normal(a.terms[i:])
         if bc < ac:
-            return Ordinal(((ae, ac - bc),) + a.terms[i + 1 :])
+            return Ordinal._from_normal(((ae, ac - bc),) + a.terms[i + 1 :])
         if bc > ac:
             raise SubtractionUndefinedError(f"{b} > {a}")
         i += 1
     if i == len(b.terms):
-        return Ordinal(a.terms[i:])
+        return Ordinal._from_normal(a.terms[i:])
     raise SubtractionUndefinedError(f"{b} > {a}")
 
 
@@ -304,7 +318,7 @@ def fundamental_seq(lam: Ordinal | int, n: int) -> Ordinal:
         tail: tuple[tuple[Ordinal, int], ...] = ((exponent.pred(), n + 1),)
     else:
         tail = ((fundamental_seq(exponent, n), 1),)
-    return Ordinal(head + tail)
+    return Ordinal._from_normal(head + tail)
 
 
 ZERO = Ordinal()
@@ -317,97 +331,105 @@ OMEGA = Ordinal(((ONE, 1),))
 # recursion depth.
 MAX_EXPONENT_NESTING = 100
 
-# ASCII only: str.isdigit also passes digits that int refuses, such as "\u00b2"
+# One token per match: a run of ASCII digits or any other single
+# non-whitespace character.  ASCII only: str.isdigit also passes digits that
+# int refuses, such as "\u00b2".  re's \s is the whitespace of str.isspace.
+_TOKEN = re.compile(r"\s*([0-9]+|\S)")
 _DIGITS = frozenset("0123456789")
 
 
 class _Parser:
+    """Recursive descent over the tokens of one text, scanned once.
+
+    The token list ends with "", which marks the end of input.  Text
+    positions are worked out only for an error.
+    """
+
     def __init__(self, text: str, strict: bool) -> None:
         self.text = text
         self.strict = strict
-        self.pos = 0
+        self.tokens = _TOKEN.findall(text)
+        self.tokens.append("")
         self.nesting = 0
 
-    def _error(self, message: str) -> NoReturn:
-        raise OrdinalParseError(message, self.pos)
+    def _error(self, message: str, i: int, offset: int = 0, kind: type = OrdinalParseError) -> NoReturn:
+        """Raise at offset characters into token i, or at the end of input."""
+        position = len(self.text)
+        for k, match in enumerate(_TOKEN.finditer(self.text)):
+            if k == i:
+                position = match.start(1) + offset
+                break
+        raise kind(message, position)
 
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _peek(self) -> str | None:
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else None
-
-    def _expect(self, char: str) -> None:
-        if self._peek() != char:
-            self._error(f"expected {char!r}")
-        self.pos += 1
-
-    def _nat(self) -> int:
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
-            self.pos += 1
-        if self.pos == start:
-            self._error("expected a number")
+    def _nat(self, i: int) -> int:
+        token = self.tokens[i]
+        if token[:1] not in _DIGITS:
+            self._error("expected a number", i)
         try:
-            return int(self.text[start : self.pos])
+            return int(token)
         except ValueError:  # longer than Python converts to an int
-            self._error("number too long")
+            self._error("number too long", i, len(token))
 
-    def _term(self) -> tuple[Ordinal, int, int, bool]:
-        self._skip_ws()
-        start = self.pos
-        ch = self._peek()
-        if ch == "w":
-            self.pos += 1
+    def _term(self, i: int) -> tuple[Ordinal, int, int]:
+        """The exponent and coefficient of the term at token i, and the next token."""
+        tokens = self.tokens
+        token = tokens[i]
+        if token == "w":
+            i += 1
             exponent = ONE
-            if self._peek() == "^":
-                self.pos += 1
-                self._expect("(")
+            if tokens[i] == "^":
+                i += 1
+                if tokens[i] != "(":
+                    self._error("expected '('", i)
                 if self.nesting == MAX_EXPONENT_NESTING:
-                    self._error(f"exponents nested deeper than {MAX_EXPONENT_NESTING}")
+                    self._error(f"exponents nested deeper than {MAX_EXPONENT_NESTING}", i, 1)
                 self.nesting += 1
-                exponent = self._expr()
+                exponent, i = self._expr(i + 1)
                 self.nesting -= 1
-                self._expect(")")
-            coefficient = 1
-            if self._peek() == "*":
-                self.pos += 1
-                coefficient = self._nat()
-            return exponent, coefficient, start, False
-        if ch is not None and ch in _DIGITS:
-            return ZERO, self._nat(), start, True
-        self._error("expected 'w' or a number")
+                if tokens[i] != ")":
+                    self._error("expected ')'", i)
+                i += 1
+            if tokens[i] != "*":
+                return exponent, 1, i
+            return exponent, self._nat(i + 1), i + 2
+        if token[:1] in _DIGITS:
+            return ZERO, self._nat(i), i + 1
+        self._error("expected 'w' or a number", i)
 
-    def _expr(self) -> Ordinal:
-        items = [self._term()]
-        while self._peek() == "+":
-            self.pos += 1
-            items.append(self._term())
-        if not self.strict:
-            total = ZERO
-            for exponent, coefficient, _, _ in items:
-                if coefficient:
-                    total = add(total, Ordinal(((exponent, coefficient),)))
-            return total
-        if len(items) == 1 and items[0][3] and items[0][1] == 0:
-            return ZERO
-        prev: Ordinal | None = None
-        for exponent, coefficient, position, _ in items:
-            if coefficient == 0:
-                raise NotCanonicalError("zero coefficient", position)
-            if prev is not None and exponent.terms >= prev.terms:
-                raise NotCanonicalError("terms not strictly decreasing", position)
-            prev = exponent
-        return Ordinal(tuple((e, c) for e, c, _, _ in items))
+    def _expr(self, i: int) -> tuple[Ordinal, int]:
+        """The sum of terms from token i, and the token after it."""
+        tokens = self.tokens
+        start = i
+        exponent, coefficient, i = self._term(i)
+        terms = [(exponent, coefficient)]
+        # the first term that keeps the list from normal form: (token, why)
+        fault = None if coefficient else (start, "zero coefficient")
+        while tokens[i] == "+":
+            start = i + 1
+            previous = exponent
+            exponent, coefficient, i = self._term(start)
+            terms.append((exponent, coefficient))
+            if fault is None:
+                if not coefficient:
+                    fault = (start, "zero coefficient")
+                elif exponent.terms >= previous.terms:
+                    fault = (start, "terms not strictly decreasing")
+        if fault is None:
+            return Ordinal._from_normal(tuple(terms)), i
+        if len(terms) == 1 and tokens[start] != "w":  # the number 0
+            return ZERO, i
+        if self.strict:
+            self._error(fault[1], fault[0], kind=NotCanonicalError)
+        total = ZERO
+        for exponent, coefficient in terms:
+            if coefficient:
+                total = add(total, Ordinal._from_normal(((exponent, coefficient),)))
+        return total, i
 
     def parse(self) -> Ordinal:
-        value = self._expr()
-        self._skip_ws()
-        if self.pos != len(self.text):
-            self._error("unexpected trailing input")
+        value, i = self._expr(0)
+        if self.tokens[i]:
+            self._error("unexpected trailing input", i)
         return value
 
 
@@ -421,6 +443,18 @@ def parse_ordinal(text: str, strict: bool = False) -> Ordinal:
     if not isinstance(text, str):
         raise TypeError("expected a string")
     return _Parser(text, strict).parse()
+
+
+def _parse_natural(text: str) -> int | None:
+    """The grammar's natural number, with whitespace around it allowed, or
+    None for any other text and for a number longer than int reads."""
+    tokens = _TOKEN.findall(text)
+    if len(tokens) != 1 or tokens[0][0] not in _DIGITS:
+        return None
+    try:
+        return int(tokens[0])
+    except ValueError:
+        return None
 
 
 def format_ordinal(a: Ordinal | int) -> str:

@@ -50,6 +50,14 @@ class CbChar:
         if self.count == 0 and not self.rank.is_zero:
             raise ValueError("only the empty class may have count 0")
 
+    @classmethod
+    def _from_normal(cls, rank: Ordinal, count: int) -> "CbChar":
+        """A pair the module derived from valid pairs, built without the checks."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "count", count)
+        return self
+
     def __str__(self) -> str:
         return f"({format_ordinal(self.rank)}, {self.count})"
 
@@ -57,16 +65,25 @@ class CbChar:
 EMPTY_CLASS = CbChar(ZERO, 0)
 
 
+def _require_chars(*values: object) -> None:
+    """The pair argument rule: a CbChar, so that the checks it passed hold
+    for the pairs derived from it."""
+    for value in values:
+        if not isinstance(value, CbChar):
+            raise TypeError("expected CbChar values")
+
+
 def derivative_steps(s: CbChar, beta: Ordinal | int) -> CbChar:
     """Class of the beta-th iterated derived set of a space of class s."""
+    _require_chars(s)
     beta = _require(beta)
     if beta.is_zero:
         return s
     c = cmp(beta, s.rank)
     if c < 0:
-        return CbChar(left_sub(beta, s.rank), s.count)
+        return CbChar._from_normal(left_sub(beta, s.rank), s.count)
     if c == 0:
-        return CbChar(ZERO, s.count)
+        return CbChar._from_normal(ZERO, s.count)
     return EMPTY_CLASS
 
 
@@ -77,18 +94,18 @@ def derivative(s: CbChar) -> CbChar:
 
 def union_char(s1: CbChar, s2: CbChar) -> CbChar:
     """Class of a disjoint union: the larger rank wins, ties add counts."""
+    _require_chars(s1, s2)
     c = cmp(s1.rank, s2.rank)
     lead = s2.rank if c < 0 else s1.rank
     count = (s1.count if s1.rank == lead else 0) + (s2.count if s2.rank == lead else 0)
     if count == 0:
         return EMPTY_CLASS
-    return CbChar(lead, count)
+    return CbChar._from_normal(lead, count)
 
 
 def homeomorphic(s1: CbChar, s2: CbChar) -> bool:
     """Spaces of these classes are homeomorphic iff the pairs agree."""
-    if not isinstance(s1, CbChar) or not isinstance(s2, CbChar):
-        raise TypeError("expected CbChar values")
+    _require_chars(s1, s2)
     return s1 == s2
 
 
@@ -130,7 +147,7 @@ def census(
     out = [EMPTY_CLASS]
     for r in range(n_ranks):
         rank = Ordinal.from_int(r)
-        out.extend(CbChar(rank, c) for c in range(1, count_bound + 1))
+        out.extend([CbChar._from_normal(rank, c) for c in range(1, count_bound + 1)])
     return out
 
 

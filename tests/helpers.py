@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -63,6 +64,15 @@ st_nested_terms = _raw_terms(_nested_2) | st_nested_ordinal.map(lambda a: list(a
 st_char = st.tuples(st_ordinal, st.integers(min_value=1, max_value=5)).map(
     lambda t: CbChar(*t)
 ) | st.just(CbChar(ZERO, 0))
+
+
+def assert_survives_checks(a: Ordinal) -> None:
+    """a, and every exponent inside it, rebuilds through the checking
+    constructor unchanged: equal value, hash and pickle."""
+    for exponent, _ in a.terms:
+        assert_survives_checks(exponent)
+    copy = Ordinal(a.terms)
+    assert copy == a and hash(copy) == hash(a) and pickle.dumps(copy) == pickle.dumps(a)
 
 
 def random_cnf(rng: random.Random, max_exp: int = 4, max_terms: int = 3, max_coeff: int = 5) -> Ordinal:

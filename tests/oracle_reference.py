@@ -9,6 +9,11 @@ restriction claims; `cbkit.oracle` answers the same questions from
 scaled-integer summaries and per-node lifetimes, and the differential
 tests require identical reports.
 
+`restriction_check_by_rows` is the scan `cbkit.oracle.restriction_check`
+once ran per case: both sides of the comparison rebuilt as sets from
+every surviving node's scaled center.  The fast oracle reads per-child
+distance bounds first and builds a set only when they cannot decide.
+
 `prune`, `prune_trace` and `char_by_pruning` are the probe-based
 reading of one derivative: each node regenerates its first tail child
 and asks whether that child has rank zero, and every stage is a tree of
@@ -20,6 +25,7 @@ These copies keep no memo on the trees.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import ceil
 
 from cbkit.oracle import (
     AnnulusCheck,
@@ -27,6 +33,10 @@ from cbkit.oracle import (
     GeometryReport,
     InfiniteRankError,
     PruneReport,
+    _fate,
+    _raise_by,
+    _scale,
+    _scaled,
 )
 from cbkit.ordinal import ONE, ZERO, Ordinal, left_sub
 from cbkit.realize import (
@@ -134,6 +144,44 @@ def restriction_check(
         left |= _surviving_centers(prune_steps(tree.children[k], beta))
     whole = _surviving_centers(prune_steps(tree, beta))
     right = {p for p in whole if abs(p - z) >= bound}
+    return left == right
+
+
+def restriction_check_by_rows(
+    tree: ClusterTree,
+    n: int,
+    beta: int,
+    cfg: RealizationConfig = DEFAULT_CONFIG,
+) -> bool:
+    """The lifetime reading of restriction_check, scanning every surviving row."""
+    m = len(tree.children)
+    if not isinstance(n, int) or isinstance(n, bool) or not 0 <= n < m:
+        raise AnnulusIndexError(f"annulus index {n} outside 0..{m - 1}")
+    if not isinstance(beta, int) or isinstance(beta, bool) or beta < 0:
+        raise ValueError("beta must be an integer >= 0")
+    z = tree.center
+    d_n = abs(tree.children[n].center - z)
+    d_next = (
+        abs(tree.children[n + 1].center - z)
+        if n + 1 < m
+        else scheduled_radius(cfg, tree.radius, n + 1)
+    )
+    bound = (d_n + d_next) / 2
+
+    for child in tree.children[: n + 1]:
+        _raise_by(child, beta)
+    _raise_by(tree, beta)
+    scale = _scale(tree)
+    # (scaled center, index of the root's child holding it) by life; the
+    # root's own index is m
+    table = {_fate(tree)[0]: [(_scaled(z, scale), m)]}
+    for i, child in enumerate(tree.children):
+        for node in child.iter_nodes():
+            table.setdefault(_fate(node)[0], []).append((_scaled(node.center, scale), i))
+    alive = [rows for life, rows in table.items() if life is None or life >= beta]
+    z_scaled, t = _scaled(z, scale), ceil(bound * scale)
+    left = {v for rows in alive for v, i in rows if i <= n}
+    right = {v for rows in alive for v, _ in rows if abs(v - z_scaled) >= t}
     return left == right
 
 

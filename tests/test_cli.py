@@ -91,6 +91,20 @@ def test_ord_fs_bad_index(capsys):
     assert run(capsys, "ord", "fs", "w", "x")[0] == 2
 
 
+@pytest.mark.parametrize("index", ["\u0663", "1_0", "+2", "-1", "", "4 4", "\u00b2"])
+def test_ord_fs_index_is_the_grammars_natural(capsys, index):
+    # the grammar admits ASCII digits only, where int also reads other
+    # decimal digits, underscores and a sign
+    code, out, err = run(capsys, "ord", "fs", "w", index)
+    assert (code, out) == (2, "")
+    assert f"fs index must be a natural number: {index!r}" in err
+
+
+def test_ord_fs_index_allows_whitespace_around(capsys):
+    assert run(capsys, "ord", "fs", "w", " 4 ")[:2] == (0, "5\n")
+    assert run(capsys, "ord", "fs", "w", "\t007\n")[:2] == (0, "8\n")
+
+
 # ---------------------------------------------------------------------- space
 
 

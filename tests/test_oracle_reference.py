@@ -363,3 +363,45 @@ def test_deepest_loaded_tree_matches_reference():
             # the last node on the chain, one level above the deepest
             assert report.counterexample.path == "/0" * (MAX_TREE_DEPTH - 1)
             assert report.counterexample.claim == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cfg=st_config,
+    rank=st.sampled_from(PRUNE_RANKS),
+    offset=st.integers(-2, 2),
+    kinds=st.lists(st.sampled_from(MUTATIONS + TAIL_CHANGES), max_size=3),
+    data=st.data(),
+)
+# a second-level node moved onto the first child's center: a later child
+# reaches past the sphere with a point the left side holds too
+@example(
+    cfg=RealizationConfig(3, "binary", "right", 2),
+    rank="w",
+    offset=0,
+    kinds=["duplicated"],
+    data=FixedDraws(node=6, source=1, n=0, beta=0),
+)
+def test_restriction_check_matches_row_scan(cfg, rank, offset, kinds, data):
+    tree = realize_cluster(Fraction(offset), Fraction(1, 2), parse_ordinal(rank), cfg)
+    for kind in kinds:
+        tree = mutate(tree, kind, data) if kind in MUTATIONS else change_tail(tree, kind, cfg, data)
+    n = data.draw(st.integers(0, len(tree.children)), label="n")
+    beta = data.draw(st.integers(0, 6), label="beta")
+    assert outcome(restriction_check, tree, n, beta, cfg) == outcome(
+        reference.restriction_check_by_rows, tree, n, beta, cfg
+    )
+
+
+def test_restriction_check_keeps_set_semantics():
+    # child 1's own child lies past the first sphere, at 6, on the far side:
+    # on the point child 0 holds it is a duplicate, and the two sides agree
+    # as sets; anywhere else it is missing from the left side
+    for far_point, agrees in ((8, True), (9, False), (-8, False)):
+        tree = node(0, node(8), node(4, node(far_point)), node(2))
+        for n in range(3):
+            for beta in range(3):
+                fast = outcome(restriction_check, tree, n, beta)
+                assert fast == outcome(reference.restriction_check_by_rows, tree, n, beta)
+                assert fast == outcome(reference.restriction_check, tree, n, beta)
+        assert restriction_check(tree, 0, 0) is agrees

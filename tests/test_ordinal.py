@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pickle
 import random
+import sys
 from dataclasses import fields, replace
 from functools import cmp_to_key
 
@@ -35,7 +36,14 @@ from cbkit.ordinal import (
     parse_ordinal,
 )
 from cnf_reference import tadd, tcmp, tmul
-from helpers import random_cnf, st_limit_ordinal, st_nested_ordinal, st_nested_terms, st_ordinal
+from helpers import (
+    assert_survives_checks,
+    random_cnf,
+    st_limit_ordinal,
+    st_nested_ordinal,
+    st_nested_terms,
+    st_ordinal,
+)
 import ordinal_reference as reference
 
 W2 = omega_pow(Ordinal.from_int(2))
@@ -438,3 +446,95 @@ def test_eq_operands():
     assert a == a and a == P("w+1") and a != P("w")
     assert Ordinal.from_int(3) == 3 and 3 == Ordinal.from_int(3)
     assert a != "w+1" and a != 1.0 and ZERO != False  # noqa: E712
+
+
+# ------------------------------------------------ values built without checks
+
+
+@settings(max_examples=300, deadline=None)
+@given(st_nested_ordinal, st_nested_ordinal, st.integers(min_value=0, max_value=5))
+@example(P("w^(w)*2+w+3"), P("w^(w+1)+4"), 3)
+def test_derived_values_pass_the_checks(a, b, n):
+    # every operation and the parser build their results without the
+    # constructor's checks, from values already in normal form
+    results = [
+        add(a, b),
+        add(b, a),
+        mul(a, b),
+        mul(b, a),
+        omega_pow(a),
+        left_sub(a, add(a, b)),
+        Ordinal.from_int(n),
+        parse_ordinal(format_ordinal(a)),
+        parse_ordinal(format_ordinal(a), strict=True),
+        # a sum out of order folds through add
+        parse_ordinal(f"{format_ordinal(b)}+{format_ordinal(a)}"),
+    ]
+    for x in (a, b):
+        if x.is_successor:
+            results.append(x.pred())
+        if x.is_limit:
+            results.append(fundamental_seq(x, n))
+    for r in results:
+        assert_survives_checks(r)
+
+
+# ------------------------------------------------ parser against the reference
+
+WHITESPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+# every character the grammar gives a meaning, whitespace, and digits and
+# signs that int would read but the grammar refuses
+PARSE_ALPHABET = "w^()*+0123456789 " + "".join(WHITESPACE) + "²٣_-x"
+
+
+def terms_text(terms: list[tuple[Ordinal, int]]) -> str:
+    return "+".join(term_text(e, c) for e, c in terms) or "0"
+
+
+@st.composite
+def st_parse_text(draw) -> str:
+    """Valid texts, sums out of normal form, and either one mutated."""
+    chars = list(draw(st_nested_ordinal.map(format_ordinal) | st_nested_terms.map(terms_text)))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        at = draw(st.integers(min_value=0, max_value=len(chars)))
+        kind = draw(st.sampled_from(("insert", "delete", "replace")))
+        if kind == "insert":
+            chars.insert(at, draw(st.sampled_from(PARSE_ALPHABET)))
+        elif chars:
+            at = min(at, len(chars) - 1)
+            if kind == "delete":
+                del chars[at]
+            else:
+                chars[at] = draw(st.sampled_from(PARSE_ALPHABET))
+    return "".join(chars)
+
+
+def parsed(parse, text: str, strict: bool):
+    """The value and its text, or the class, message and position of the error."""
+    try:
+        value = parse(text, strict=strict)
+    except Exception as exc:  # the two parsers must fail alike
+        return type(exc), str(exc), getattr(exc, "position", None)
+    return value, format_ordinal(value)
+
+
+def parse_examples(test):
+    """Pin every whitespace character, digits that int reads but the grammar
+    refuses, 5,000-digit numbers, and nesting at the bound and one past it."""
+    texts = [f"{c}w{c}^{c}({c}w{c}+{c}1{c}){c}*{c}2{c}+{c}3{c}" for c in WHITESPACE]
+    texts += [f"1{c}2" for c in WHITESPACE]
+    texts += ["²", "w*²", "1²", "٣", "w^(٣)", "w*1_0", "-1", "+2"]
+    texts += ["7" * 5000, "w*" + "9" * 5000 + "+1", "w^(" + "1" * 5000 + ")"]
+    texts += [nested(ordinal.MAX_EXPONENT_NESTING), nested(ordinal.MAX_EXPONENT_NESTING + 1)]
+    texts += ["w^(" * 101 + ")" * 101, "w^(1+w)+w^(w)", "w^(0)*0", "00", "0+0", ""]
+    for text in texts:
+        test = example(text)(test)
+    return test
+
+
+@settings(max_examples=500, deadline=None)
+@given(st_parse_text())
+@parse_examples
+def test_parser_matches_reference(text):
+    for strict in (False, True):
+        assert parsed(parse_ordinal, text, strict) == parsed(reference.parse_ordinal, text, strict)

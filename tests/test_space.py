@@ -7,6 +7,7 @@ derivative_steps (helpers.stagewise_union).
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -30,7 +31,14 @@ from cbkit.space import (
 )
 from cbkit.oracle import audit_rank, char_by_pruning, prune, prune_forest
 from cbkit.realize import realize_multi
-from helpers import random_char, shifted_forest, st_char, stagewise_union
+from helpers import (
+    assert_survives_checks,
+    random_char,
+    shifted_forest,
+    st_char,
+    st_nested_ordinal,
+    stagewise_union,
+)
 
 P = parse_ordinal
 
@@ -42,6 +50,22 @@ def C(rank, count: int) -> CbChar:
 
 
 # ---------------------------------------------------------------- fixed values
+
+
+def test_pair_arguments_must_be_chars():
+    # a stand-in with the same fields would skip the checks its results rely on
+    from types import SimpleNamespace
+
+    fake = SimpleNamespace(rank=3, count=1)
+    for call in (
+        lambda: derivative_steps(fake, 1),
+        lambda: derivative(fake),
+        lambda: union_char(fake, EMPTY_CLASS),
+        lambda: union_char(EMPTY_CLASS, fake),
+        lambda: homeomorphic(fake, EMPTY_CLASS),
+    ):
+        with pytest.raises(TypeError, match="^expected CbChar values$"):
+            call()
 
 
 def test_char_validation():
@@ -246,3 +270,33 @@ def test_homeomorphic_is_equivalence(s1, s2, s3):
     if homeomorphic(s1, s2) and homeomorphic(s2, s3):
         assert homeomorphic(s1, s3)
     assert homeomorphic(s1, s2) == (s1 == s2)
+
+
+# ------------------------------------------------ values built without checks
+
+st_nested_char = st.tuples(st_nested_ordinal, st.integers(min_value=1, max_value=5)).map(
+    lambda t: CbChar(*t)
+) | st.just(EMPTY_CLASS)
+
+
+def assert_char_survives_checks(c: CbChar) -> None:
+    copy = CbChar(c.rank, c.count)
+    assert copy == c and hash(copy) == hash(c) and pickle.dumps(copy) == pickle.dumps(c)
+    assert_survives_checks(c.rank)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st_nested_char, st_nested_char, st_nested_ordinal, st.integers(min_value=0, max_value=4))
+def test_derived_chars_pass_the_checks(s1, s2, beta, n):
+    # derivative_steps, union_char and census build their pairs without
+    # the constructor's checks
+    results = [
+        derivative_steps(s1, beta),
+        derivative_steps(s1, s1.rank),
+        derivative_steps(s2, add(beta, 1)),
+        union_char(s1, s2),
+        union_char(s1, s1),
+        *census(s1.rank, n, max_ranks=3),
+    ]
+    for c in results:
+        assert_char_survives_checks(c)
