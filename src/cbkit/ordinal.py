@@ -96,32 +96,36 @@ def _operator(op: Callable[[Ordinal, Ordinal], object]) -> Callable[[Ordinal, ob
 class Ordinal:
     """A countable ordinal below epsilon-zero, in Cantor normal form."""
 
-    terms: tuple[tuple["Ordinal", int], ...] = ()
+    # no instance dict: the terms and the hash memo are slots
+    __slots__ = ("terms", "_hash")
 
-    def __post_init__(self) -> None:
+    terms: tuple[tuple["Ordinal", int], ...]
+
+    def __init__(self, terms: tuple[tuple["Ordinal", int], ...] = ()) -> None:
+        if not isinstance(terms, tuple):
+            raise TypeError("terms must be a tuple of (exponent, coefficient) pairs")
         prev: Ordinal | None = None
-        for term in self.terms:
+        for term in terms:
             if not (isinstance(term, tuple) and len(term) == 2):
                 raise TypeError("terms must be (exponent, coefficient) pairs")
             exponent, coefficient = term
             if not isinstance(exponent, Ordinal):
                 raise TypeError("exponents must be Ordinal values")
             _require_natural(coefficient, "coefficient", 1)
-            if prev is not None and exponent.terms >= prev.terms:
+            if prev is not None and _order(exponent.terms, prev.terms) >= 0:
                 raise ValueError("exponents must be strictly decreasing")
             prev = exponent
+        _set_terms(self, terms)
 
     @classmethod
     def _from_normal(cls, terms: tuple[tuple["Ordinal", int], ...]) -> "Ordinal":
         """An ordinal of terms already in normal form, built without the checks.
 
         For values the module derives itself, as Fraction._from_coprime_ints
-        does for fractions.  The attribute goes through object.__setattr__,
-        as the frozen __init__ sets it, so the instance dict is not
-        materialized.
+        does for fractions.
         """
         self = object.__new__(cls)
-        object.__setattr__(self, "terms", terms)
+        _set_terms(self, terms)
         return self
 
     @classmethod
@@ -173,31 +177,33 @@ class Ordinal:
         return self.terms == coerced.terms
 
     def __hash__(self) -> int:
-        # computed once per object and kept in the instance __dict__; a
-        # finite ordinal hashes as its int, since the two compare equal
-        value = self.__dict__.get(_HASH)
-        if value is None:
-            terms = self.terms
-            if not terms:
-                value = 0
-            elif len(terms) == 1 and not terms[0][0].terms:
-                value = hash(terms[0][1])
-            else:
-                value = hash(terms)
-            self.__dict__[_HASH] = value
+        # computed once per object and kept in the _hash slot; a finite
+        # ordinal hashes as its int, since the two compare equal
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        terms = self.terms
+        if not terms:
+            value = 0
+        elif len(terms) == 1 and not terms[0][0].terms:
+            value = hash(terms[0][1])
+        else:
+            value = hash(terms)
+        _set_hash(self, value)
         return value
 
+    # pickles carry the terms only, not the hash memo
     def __getstate__(self) -> dict:
-        # pickles carry the terms only, not the hash memo
         return {"terms": self.terms}
 
-    # the order of normal forms is the tuple order of their terms: a larger
-    # leading exponent wins, then a larger coefficient, then the next term,
-    # and a proper prefix is smaller; exponents compare by the same rule
-    __lt__ = _operator(lambda a, b: a.terms < b.terms)
-    __le__ = _operator(lambda a, b: a.terms <= b.terms)
-    __gt__ = _operator(lambda a, b: a.terms > b.terms)
-    __ge__ = _operator(lambda a, b: a.terms >= b.terms)
+    def __setstate__(self, state: dict) -> None:
+        _set_terms(self, state["terms"])
+
+    __lt__ = _operator(lambda a, b: _order(a.terms, b.terms) < 0)
+    __le__ = _operator(lambda a, b: _order(a.terms, b.terms) <= 0)
+    __gt__ = _operator(lambda a, b: _order(a.terms, b.terms) > 0)
+    __ge__ = _operator(lambda a, b: _order(a.terms, b.terms) >= 0)
     __add__ = _operator(lambda a, b: add(a, b))
     __radd__ = _operator(lambda a, b: add(b, a))
     __mul__ = _operator(lambda a, b: mul(a, b))
@@ -210,8 +216,30 @@ class Ordinal:
         return f'Ordinal("{format_ordinal(self)}")'
 
 
-# Key of the hash memo in an Ordinal's instance __dict__.
-_HASH = "_cbkit_hash"
+def _order(ta: tuple[tuple[Ordinal, int], ...], tb: tuple[tuple[Ordinal, int], ...]) -> int:
+    """-1, 0 or 1 as the normal form ta is below, equal to or above tb.
+
+    The first term that differs decides: a larger exponent wins, then a
+    larger coefficient, and a proper prefix is smaller.  Exponents compare
+    by the same walk one level down, entered only for two distinct objects.
+    """
+    if ta is tb:
+        return 0
+    for (ea, ca), (eb, cb) in zip(ta, tb):
+        if ea is not eb:
+            order = _order(ea.terms, eb.terms)
+            if order:
+                return order
+        if ca != cb:
+            return -1 if ca < cb else 1
+    la, lb = len(ta), len(tb)
+    return 0 if la == lb else -1 if la < lb else 1
+
+
+# Writers of the two slots, which the frozen __setattr__ refuses.  Called
+# directly they skip the name lookup that object.__setattr__ makes.
+_set_terms = Ordinal.terms.__set__
+_set_hash = Ordinal._hash.__set__
 
 
 def _coerce(value: object) -> Ordinal | None:
@@ -224,6 +252,8 @@ def _coerce(value: object) -> Ordinal | None:
 
 
 def _require(value: object) -> Ordinal:
+    if type(value) is Ordinal:
+        return value
     coerced = _coerce(value)
     if coerced is None:
         raise TypeError(f"expected an ordinal, got {value!r}")
@@ -232,8 +262,7 @@ def _require(value: object) -> Ordinal:
 
 def cmp(a: Ordinal | int, b: Ordinal | int) -> int:
     """Trichotomy on ordinals: -1, 0 or 1 as a <, = or > b."""
-    ta, tb = _require(a).terms, _require(b).terms
-    return 0 if ta == tb else -1 if ta < tb else 1
+    return _order(_require(a).terms, _require(b).terms)
 
 
 def add(a: Ordinal | int, b: Ordinal | int) -> Ordinal:
@@ -247,9 +276,10 @@ def add(a: Ordinal | int, b: Ordinal | int) -> Ordinal:
     head: list[tuple[Ordinal, int]] = []
     merged = False
     for exponent, coefficient in a.terms:
-        if exponent.terms > lead.terms:
+        order = _order(exponent.terms, lead.terms)
+        if order > 0:
             head.append((exponent, coefficient))
-        elif exponent.terms == lead.terms:
+        elif order == 0:
             head.append((lead, coefficient + b.terms[0][1]))
             merged = True
             break
@@ -286,9 +316,10 @@ def left_sub(b: Ordinal | int, a: Ordinal | int) -> Ordinal:
     i = 0
     while i < len(b.terms) and i < len(a.terms):
         (be, bc), (ae, ac) = b.terms[i], a.terms[i]
-        if be.terms > ae.terms:
+        order = _order(be.terms, ae.terms)
+        if order > 0:
             raise SubtractionUndefinedError(f"{b} > {a}")
-        if be.terms < ae.terms:
+        if order < 0:
             return Ordinal._from_normal(a.terms[i:])
         if bc < ac:
             return Ordinal._from_normal(((ae, ac - bc),) + a.terms[i + 1 :])
@@ -412,7 +443,7 @@ class _Parser:
             if fault is None:
                 if not coefficient:
                     fault = (start, "zero coefficient")
-                elif exponent.terms >= previous.terms:
+                elif _order(exponent.terms, previous.terms) >= 0:
                     fault = (start, "terms not strictly decreasing")
         if fault is None:
             return Ordinal._from_normal(tuple(terms)), i

@@ -1,10 +1,12 @@
 """Reference ordinal order and product, written out the long way.
 
-`cbkit.ordinal` compares normal forms as Python tuples of their terms.
-`cmp` is the walk that order stands for, written out: the first term
-that differs decides, a larger exponent before a larger coefficient,
+`cbkit.ordinal` compares normal forms with one walk over their terms,
+which skips exponents that are the same object.  Two references stand
+for that order.  `cmp` is the walk written out: the first term that
+differs decides, a larger exponent before a larger coefficient,
 exponents compared by the same walk one level down, and a proper prefix
-is smaller.
+is smaller.  `key` turns an ordinal into nested plain tuples whose
+built-in order is the same, and runs no `Ordinal` method.
 
 `cbkit.ordinal.mul` splices the pieces of a product into one normal
 form.  `mul` here sums the same pieces with `add`, which works their
@@ -43,6 +45,12 @@ def cmp(a: Ordinal, b: Ordinal) -> int:
     if len(a.terms) == len(b.terms):
         return 0
     return -1 if len(a.terms) < len(b.terms) else 1
+
+
+def key(a: Ordinal) -> tuple:
+    """a as nested plain tuples: one (exponent key, coefficient) pair per
+    term, so tuple order is the order of the ordinals."""
+    return tuple((key(e), c) for e, c in a.terms)
 
 
 def mul(a: Ordinal, b: Ordinal) -> Ordinal:

@@ -7,6 +7,7 @@ re-asserted against the oracle at test time).
 
 from __future__ import annotations
 
+import copy
 import pickle
 import random
 import sys
@@ -193,6 +194,11 @@ def test_ordinal_structure_validation():
         Ordinal(((ZERO, 1), (ONE, 1)))  # increasing exponents
     with pytest.raises(TypeError):
         Ordinal(((1, 1),))
+    # a list of terms once built a value that printed as 1 yet did not
+    # equal ONE and could not be ordered against it
+    for terms in ([(ZERO, 1)], [], iter(((ZERO, 1),)), None):
+        with pytest.raises(TypeError, match="^terms must be a tuple of"):
+            Ordinal(terms)
 
 
 def test_classification_helpers():
@@ -351,18 +357,31 @@ def neighbours(a: Ordinal) -> list[Ordinal]:
     return out
 
 
+def key_order(x: Ordinal | int, y: Ordinal | int) -> int:
+    """-1, 0 or 1 by the built-in order of the nested tuple keys."""
+    kx, ky = (reference.key(Ordinal.from_int(v) if isinstance(v, int) else v) for v in (x, y))
+    return (kx > ky) - (kx < ky)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st_nested_ordinal, st_nested_ordinal, st.integers(min_value=0, max_value=3))
+@example(P("w^(w)*2+w"), P("w^(w)*2+w+1"), 0)
 def test_order_matches_reference(a, b, n):
-    finite = Ordinal.from_int(n)
-    for x, y in [(a, b), (b, a), (a, finite), *((a, c) for c in neighbours(a))]:
-        want = reference.cmp(x, y)
+    # against two references: the walk written out, and nested plain
+    # tuples, whose order runs no Ordinal method.  The operands include
+    # equal values that share no term object, values built on a's own
+    # exponent objects, every proper prefix of a, and ints.
+    shared = Ordinal(tuple((e, c + 1) for e, c in a.terms))
+    prefixes = [Ordinal(a.terms[:k]) for k in range(len(a.terms))]
+    others = [b, Ordinal.from_int(n), n, a, shared, *prefixes, *neighbours(a)]
+    for x, y in [pair for c in others for pair in ((a, c), (c, a))]:
+        want = key_order(x, y)
+        if not isinstance(x, int) and not isinstance(y, int):
+            assert reference.cmp(x, y) == want
         assert cmp(x, y) == want
         assert ((x < y), (x <= y), (x > y), (x >= y), (x == y)) == (
             want < 0, want <= 0, want > 0, want >= 0, want == 0
         )
-    assert cmp(a, n) == reference.cmp(a, finite)
-    assert (a < n, a <= n, a > n, a >= n, a == n) == (a < finite, a <= finite, a > finite, a >= finite, a == finite)
 
 
 @settings(max_examples=100, deadline=None)
@@ -423,11 +442,19 @@ def test_hash_keeps_its_value_and_is_computed_once(a):
     unhashed = pickle.dumps(fresh)
     value = hash(a)
     assert value == hash(reference.ParentHash(a)) == hash(fresh)
-    assert hash(a) == value and fresh.__dict__[ordinal._HASH] == value
-    assert hash(replace(a)) == value
-    # the memo is not pickled, and an unpickled copy hashes alike
+    assert hash(a) == value and fresh._hash == value
+    # computed once: with other terms swapped in under the memo, the hash
+    # still reads the first value
+    memo = Ordinal(a.terms)
+    assert hash(memo) == value
+    successor = add(a, ONE)
+    object.__setattr__(memo, "terms", successor.terms)
+    assert memo == successor and hash(memo) == value != hash(successor)
+    # the memo is not pickled, and copies start without one
     assert pickle.dumps(fresh) == unhashed
-    assert hash(pickle.loads(pickle.dumps(a))) == value
+    for twin in (replace(a), pickle.loads(pickle.dumps(a))):
+        assert twin == a and not hasattr(twin, "_hash")
+        assert hash(twin) == value
     if a.is_finite:
         assert value == hash(int(a))
 
@@ -437,8 +464,48 @@ def test_hash_memo_is_no_field():
     hash(a)
     assert [f.name for f in fields(Ordinal)] == ["terms"]
     assert repr(a) == 'Ordinal("w^(w)*2+w+3")'
-    assert replace(a) == a and ordinal._HASH not in replace(a).__dict__
+    assert replace(a) == a and not hasattr(replace(a), "_hash")
+    # the memo sits in a slot: no ordinal has an instance dict
+    assert a._hash == hash(a) and not hasattr(a, "__dict__")
     assert hash(Ordinal.from_int(7)) == hash(7) and hash(ZERO) == hash(0)
+
+
+# protocol 2 and 4 pickles of a nested ordinal, as written before Ordinal
+# had slots: stored pickles must still load, and new ones must not differ
+PICKLED_TEXT = "w^(w^(2)+1)*2+w+3"
+PICKLED = {
+    2: (
+        b"\x80\x02ccbkit.ordinal\nOrdinal\nq\x00)\x81q\x01}q\x02X\x05\x00\x00\x00termsq\x03"
+        b"h\x00)\x81q\x04}q\x05h\x03h\x00)\x81q\x06}q\x07h\x03h\x00)\x81q\x08}q\th\x03)sbK"
+        b"\x02\x86q\n\x85q\x0bsbK\x01\x86q\x0ch\x08K\x01\x86q\r\x86q\x0esbK\x02\x86q\x0f"
+        b"h\x00)\x81q\x10}q\x11h\x03h\x08K\x01\x86q\x12\x85q\x13sbK\x01\x86q\x14h\x08K\x03"
+        b"\x86q\x15\x87q\x16sb."
+    ),
+    4: (
+        b"\x80\x04\x95\x83\x00\x00\x00\x00\x00\x00\x00\x8c\rcbkit.ordinal\x94\x8c\x07"
+        b"Ordinal\x94\x93\x94)\x81\x94}\x94\x8c\x05terms\x94h\x02)\x81\x94}\x94h\x05h\x02)"
+        b"\x81\x94}\x94h\x05h\x02)\x81\x94}\x94h\x05)sbK\x02\x86\x94\x85\x94sbK\x01\x86"
+        b"\x94h\nK\x01\x86\x94\x86\x94sbK\x02\x86\x94h\x02)\x81\x94}\x94h\x05h\nK\x01"
+        b"\x86\x94\x85\x94sbK\x01\x86\x94h\nK\x03\x86\x94\x87\x94sb."
+    ),
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(PICKLED))
+def test_pickle_bytes_are_stable(protocol):
+    a = P(PICKLED_TEXT)
+    loaded = pickle.loads(PICKLED[protocol])
+    assert loaded == a and format_ordinal(loaded) == PICKLED_TEXT
+    assert_survives_checks(loaded)
+    hash(a)  # the memo stays out of the bytes
+    assert pickle.dumps(a, protocol) == PICKLED[protocol]
+
+
+def test_copies_equal_their_sources():
+    a = P(PICKLED_TEXT)
+    for source in (a, ZERO, ONE):
+        assert copy.copy(source) == source and copy.deepcopy(source) == source
+    assert Ordinal() == ZERO and Ordinal().terms == ()
 
 
 def test_eq_operands():
