@@ -19,12 +19,13 @@ lives and builds no stage tree.  Geometry and rank audits are separate
 lenses over the same trees and share no code with pruning beyond the
 tree type.
 
-Results are memoized on the trees themselves, under private keys in the
-instance ``__dict__`` (as ``functools.cached_property`` does on frozen
-dataclasses): an interior node keeps its life and first pruning error
-(message text, not an exception), and a tree its center scale and its
-scaled centers grouped by life and child for the restriction checks.
-The memo lives and dies with its tree, and no pickle carries it; there
+Results are memoized on the trees themselves, in three private slots
+that ClusterTree declares beside its fields: an interior node keeps its
+life and first pruning error (message text, not an exception), and a
+tree its center scale and its scaled centers grouped by life and child
+for the restriction checks.  A slot starts unset and is read with
+getattr and a None default, so a first read raises nothing.  The memo
+lives and dies with its tree, and no pickle or copy carries it; there
 is no process-wide cache to clear.  The hot loops of the geometry and
 restriction checks compare Python ints: centers scaled by the least
 common denominator of the tree's centers.
@@ -107,10 +108,10 @@ def _as_forest(trees: ClusterTree | Iterable[ClusterTree]) -> tuple[ClusterTree,
     return forest
 
 
-# Keys of the per-tree memos in a ClusterTree's instance __dict__.
-_FATE = "_cbkit_fate"
-_SCALE = "_cbkit_scale"
-_TABLE = "_cbkit_table"
+# Writers of the per-tree memo slots, which the frozen __setattr__ refuses.
+_set_fate = ClusterTree._fate_memo.__set__
+_set_scale = ClusterTree._scale_memo.__set__
+_set_table = ClusterTree._table_memo.__set__
 
 
 def _fate(tree: ClusterTree) -> tuple[int | None, tuple[int, str] | None]:
@@ -121,8 +122,8 @@ def _fate(tree: ClusterTree) -> tuple[int | None, tuple[int, str] | None]:
     """
     if tree.is_leaf:
         return 0, None
-    memo = tree.__dict__
-    if _FATE not in memo:
+    fate = getattr(tree, "_fate_memo", None)
+    if fate is None:
         # leaves neither fail nor outlive a node that gets this far
         fates = [_fate(c) for c in tree.children if c.children or c.tail is not None]
         rank, tail = tree.rank, tree.tail
@@ -140,8 +141,9 @@ def _fate(tree: ClusterTree) -> tuple[int | None, tuple[int, str] | None]:
             error = min(errors, key=lambda e: e[0])
         elif life is not None and any(c is None or c >= life for c, _ in fates):
             error = (life, "materialized children outlive the tail probe")
-        memo[_FATE] = (life, error)
-    return memo[_FATE]
+        fate = (life, error)
+        _set_fate(tree, fate)
+    return fate
 
 
 def _raise_by(tree: ClusterTree, stage: int) -> None:
@@ -287,8 +289,8 @@ MAX_SCALE_BITS = 8192
 
 def _scale(tree: ClusterTree) -> int:
     """Least common denominator of the tree's centers, memoized on the tree."""
-    memo = tree.__dict__
-    if _SCALE not in memo:
+    scale = getattr(tree, "_scale_memo", None)
+    if scale is None:
         scale = 1
         for node in tree.iter_nodes():
             if scale % node.center.denominator:
@@ -297,8 +299,8 @@ def _scale(tree: ClusterTree) -> int:
                     raise ScaleBudgetError(
                         f"common denominator of the centers exceeds {MAX_SCALE_BITS} bits"
                     )
-        memo[_SCALE] = scale
-    return memo[_SCALE]
+        _set_scale(tree, scale)
+    return scale
 
 
 def _scaled(q: Fraction, scale: int) -> int:
@@ -413,8 +415,8 @@ def _table(tree: ClusterTree) -> list[tuple[int | None, int, list[int], int, int
     and greatest distance to the root's center); the root's own index is
     len(tree.children).  Memoized.
     """
-    memo = tree.__dict__
-    if _TABLE not in memo:
+    table = getattr(tree, "_table_memo", None)
+    if table is None:
         scale = _scale(tree)
         z = _scaled(tree.center, scale)
         groups: defaultdict[tuple[int | None, int], list[int]] = defaultdict(list)
@@ -422,11 +424,12 @@ def _table(tree: ClusterTree) -> list[tuple[int | None, int, list[int], int, int
         for i, child in enumerate(tree.children):
             for node in child.iter_nodes():
                 groups[_fate(node)[0], i].append(_scaled(node.center, scale))
-        table = memo[_TABLE] = []
+        table = []
         for (life, i), points in groups.items():
             distances = [abs(v - z) for v in points]
             table.append((life, i, points, min(distances), max(distances)))
-    return memo[_TABLE]
+        _set_table(tree, table)
+    return table
 
 
 def restriction_check(

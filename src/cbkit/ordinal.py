@@ -177,12 +177,12 @@ class Ordinal:
         return self.terms == coerced.terms
 
     def __hash__(self) -> int:
-        # computed once per object and kept in the _hash slot; a finite
-        # ordinal hashes as its int, since the two compare equal
-        try:
-            return self._hash
-        except AttributeError:
-            pass
+        # computed once per object and kept in the _hash slot, which starts
+        # unset and is read without raising; a finite ordinal hashes as its
+        # int, since the two compare equal
+        value = getattr(self, "_hash", None)
+        if value is not None:
+            return value
         terms = self.terms
         if not terms:
             value = 0

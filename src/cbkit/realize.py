@@ -122,8 +122,19 @@ class TailSpec:
             raise ValueError(f"unknown generator: {self.generator!r}")
 
 
-@dataclass(frozen=True)
-class ClusterTree:
+class _OracleMemos:
+    """Slots where the oracles keep what they work out about a tree.
+
+    None of them is a field: each starts unset, and pickles, copies and
+    replace() carry none.  __weakref__ is declared here because
+    dataclass(slots=True) adds none before Python 3.11.
+    """
+
+    __slots__ = ("_fate_memo", "_scale_memo", "_table_memo", "__weakref__")
+
+
+@dataclass(frozen=True, slots=True)
+class ClusterTree(_OracleMemos):
     """One cluster: center, enclosing ball radius, intended rank, children."""
 
     center: Fraction
@@ -150,9 +161,22 @@ class ClusterTree:
     def centers(self) -> set[Fraction]:
         return {node.center for node in self.iter_nodes()}
 
-    def __getstate__(self) -> dict:
-        # pickles carry the fields only, not the oracles' memos
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+# The state of a pickle or copy is the fields' dict, as it was before
+# ClusterTree had slots, and never a memo.  Set after the class, because
+# dataclass(slots=True) before Python 3.11 puts its own list-state pair
+# over a frozen class's __getstate__ and __setstate__.
+def _tree_getstate(tree: ClusterTree) -> dict:
+    return {f.name: getattr(tree, f.name) for f in fields(tree)}
+
+
+def _tree_setstate(tree: ClusterTree, state: dict) -> None:
+    for f in fields(tree):
+        object.__setattr__(tree, f.name, state[f.name])
+
+
+ClusterTree.__getstate__ = _tree_getstate
+ClusterTree.__setstate__ = _tree_setstate
 
 
 def _child_path(parent: str, index: int) -> str:

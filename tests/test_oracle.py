@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import gc
 import pickle
+import sys
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -150,6 +152,42 @@ def test_prune_memo_is_invisible():
     fresh_once = prune(fresh)
     assert (once, hash(once), tree_to_obj(once)) == (fresh_once, hash(fresh_once), tree_to_obj(fresh_once))
     assert prune(replace(t)) == once
+
+
+MEMOS = ("_fate_memo", "_scale_memo", "_table_memo")
+
+
+def test_memos_are_slots_that_no_copy_carries():
+    t = realize_multi(P("w^(2)+w"), 1, RealizationConfig(max_depth=3))[0]
+    assert all(getattr(node, name, None) is None for node in t.iter_nodes() for name in MEMOS)
+    # an empty memo slot, and an ordinal's unset hash slot, are read
+    # without raising: no Python frame sees an exception while they fill
+    raised = []
+
+    def tracer(frame, event, arg):
+        if event == "exception":
+            raised.append(arg[0])
+        return tracer
+
+    before = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        restriction_check(t, 0, 1)
+        geometry_check(t)
+        audit_char([t], exact=True)
+        hash(Ordinal(P("w^(3)+w*2").terms))
+    finally:
+        sys.settrace(before)
+    assert raised == []
+    assert all(getattr(t, name, None) is not None for name in MEMOS)
+    # copies start with empty memos; shallow ones share the children
+    deep = (copy.deepcopy(t), pickle.loads(pickle.dumps(t)))
+    for twin in (copy.copy(t), replace(t), *deep):
+        assert twin == t and twin is not t
+        assert all(getattr(twin, name, None) is None for name in MEMOS)
+    for twin in deep:
+        assert all(getattr(node, name, None) is None for node in twin.iter_nodes() for name in MEMOS)
+    assert restriction_check(deep[0], 0, 1) and getattr(deep[0], "_table_memo", None) is not None
 
 
 def test_prune_updates_successor_annotations():

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+import pickle
+import sys
+import weakref
+from dataclasses import MISSING, fields, replace
 from fractions import Fraction
 
 import pytest
@@ -375,6 +378,81 @@ def test_determinism():
     b = realize_multi(P("w^(2)"), 2)
     assert a == b
     assert [tree_to_json(x) for x in a] == [tree_to_json(x) for x in b]
+
+
+# protocol 2 and 4 pickles of a rank-1 tree with two children, as written
+# before ClusterTree had slots: stored pickles must still load, and new
+# ones must not differ.  Fraction pickles its text before Python 3.11 and
+# its numerator and denominator since.
+PICKLED_TREE = {
+    2: (
+        b"\x80\x02ccbkit.realize\nClusterTree\nq\x00)\x81q\x01}q\x02(X\x06\x00\x00\x00centerq\x03cfractions\nFraction\n"
+        b"q\x04K\x00K\x01\x86q\x05Rq\x06X\x06\x00\x00\x00radiusq\x07h\x04K\x01K\x01\x86q\x08Rq\tX\x04\x00\x00\x00rankq\nccbkit.ordinal\nOrdinal\nq"
+        b"\x0b)\x81q\x0c}q\rX\x05\x00\x00\x00termsq\x0eh\x0b)\x81q\x0f}q\x10h\x0e)sbK\x01\x86q\x11\x85q\x12sbX\x08\x00\x00\x00childrenq\x13h\x00)\x81q\x14}q\x15(h\x03h"
+        b"\x04K\x01K\x02\x86q\x16Rq\x17h\x07h\x04K\x01K\x08\x86q\x18Rq\x19h\nh\x0b)\x81q\x1a}q\x1bh\x0e)sbh\x13)X\x04\x00\x00\x00tailq\x1cNubh\x00)\x81q\x1d}q\x1e(h\x03h\x04"
+        b"K\x01K\x04\x86q\x1fRq h\x07h\x04K\x01K\x10\x86q!Rq\"h\nh\x1ah\x13)h\x1cNub\x86q#h\x1cccbkit.realize\nTailSpec\nq$)\x81q%}"
+        b"q&(X\n\x00\x00\x00next_indexq'K\x02X\t\x00\x00\x00generatorq(X\t\x00\x00\x00successorq)ubub."
+    ),
+    4: (
+        b"\x80\x04\x95^\x01\x00\x00\x00\x00\x00\x00\x8c\rcbkit.realize\x94\x8c\x0bClusterTree\x94\x93\x94)\x81\x94}\x94(\x8c\x06center\x94\x8c\tfractions\x94\x8c\x08"
+        b"Fraction\x94\x93\x94K\x00K\x01\x86\x94R\x94\x8c\x06radius\x94h\x08K\x01K\x01\x86\x94R\x94\x8c\x04rank\x94\x8c\rcbkit.ordinal\x94\x8c\x07Ordinal\x94\x93"
+        b"\x94)\x81\x94}\x94\x8c\x05terms\x94h\x11)\x81\x94}\x94h\x14)sbK\x01\x86\x94\x85\x94sb\x8c\x08children\x94h\x02)\x81\x94}\x94(h\x05h\x08K\x01K\x02\x86\x94R\x94h\x0bh\x08K\x01K"
+        b"\x08\x86\x94R\x94h\x0eh\x11)\x81\x94}\x94h\x14)sbh\x19)\x8c\x04tail\x94Nubh\x02)\x81\x94}\x94(h\x05h\x08K\x01K\x04\x86\x94R\x94h\x0bh\x08K\x01K\x10\x86\x94R\x94h\x0eh h\x19)h"
+        b"\"Nub\x86\x94h\"h\x00\x8c\x08TailSpec\x94\x93\x94)\x81\x94}\x94(\x8c\nnext_index\x94K\x02\x8c\tgenerator\x94\x8c\tsuccessor\x94ubub"
+        b"."
+    ),
+}
+if sys.version_info < (3, 11):
+    PICKLED_TREE = {
+        2: (
+            b"\x80\x02ccbkit.realize\nClusterTree\nq\x00)\x81q\x01}q\x02(X\x06\x00\x00\x00centerq\x03cfractions\nFraction\n"
+            b"q\x04X\x01\x00\x00\x000q\x05\x85q\x06Rq\x07X\x06\x00\x00\x00radiusq\x08h\x04X\x01\x00\x00\x001q\t\x85q\nRq\x0bX\x04\x00\x00\x00rankq\x0cccbkit.ordinal\nO"
+            b"rdinal\nq\r)\x81q\x0e}q\x0fX\x05\x00\x00\x00termsq\x10h\r)\x81q\x11}q\x12h\x10)sbK\x01\x86q\x13\x85q\x14sbX\x08\x00\x00\x00childrenq\x15h\x00)\x81q"
+            b"\x16}q\x17(h\x03h\x04X\x03\x00\x00\x001/2q\x18\x85q\x19Rq\x1ah\x08h\x04X\x03\x00\x00\x001/8q\x1b\x85q\x1cRq\x1dh\x0ch\r)\x81q\x1e}q\x1fh\x10)sbh\x15)X\x04\x00\x00\x00tai"
+            b"lq Nubh\x00)\x81q!}q\"(h\x03h\x04X\x03\x00\x00\x001/4q#\x85q$Rq%h\x08h\x04X\x04\x00\x00\x001/16q&\x85q'Rq(h\x0ch\x1eh\x15)h Nub\x86q)"
+            b"h ccbkit.realize\nTailSpec\nq*)\x81q+}q,(X\n\x00\x00\x00next_indexq-K\x02X\t\x00\x00\x00generatorq.X"
+            b"\t\x00\x00\x00successorq/ubub."
+        ),
+        4: (
+            b"\x80\x04\x95g\x01\x00\x00\x00\x00\x00\x00\x8c\rcbkit.realize\x94\x8c\x0bClusterTree\x94\x93\x94)\x81\x94}\x94(\x8c\x06center\x94\x8c\tfractions\x94\x8c\x08"
+            b"Fraction\x94\x93\x94\x8c\x010\x94\x85\x94R\x94\x8c\x06radius\x94h\x08\x8c\x011\x94\x85\x94R\x94\x8c\x04rank\x94\x8c\rcbkit.ordinal\x94\x8c\x07Ordinal\x94\x93"
+            b"\x94)\x81\x94}\x94\x8c\x05terms\x94h\x13)\x81\x94}\x94h\x16)sbK\x01\x86\x94\x85\x94sb\x8c\x08children\x94h\x02)\x81\x94}\x94(h\x05h\x08\x8c\x031/2\x94\x85\x94R\x94h\x0ch\x08\x8c"
+            b"\x031/8\x94\x85\x94R\x94h\x10h\x13)\x81\x94}\x94h\x16)sbh\x1b)\x8c\x04tail\x94Nubh\x02)\x81\x94}\x94(h\x05h\x08\x8c\x031/4\x94\x85\x94R\x94h\x0ch\x08\x8c\x041/16\x94\x85\x94R"
+            b"\x94h\x10h$h\x1b)h&Nub\x86\x94h&h\x00\x8c\x08TailSpec\x94\x93\x94)\x81\x94}\x94(\x8c\nnext_index\x94K\x02\x8c\tgenerator\x94\x8c\tsucce"
+            b"ssor\x94ubub."
+        ),
+    }
+
+
+@pytest.mark.parametrize("protocol", sorted(PICKLED_TREE))
+def test_tree_pickle_bytes_are_stable(protocol):
+    t = realize_cluster(0, 1, ONE, RealizationConfig(children_per_node=2))
+    loaded = pickle.loads(PICKLED_TREE[protocol])
+    assert loaded == t and tree_to_json(loaded) == tree_to_json(t)
+    validate_tree(loaded, cfg=RealizationConfig(children_per_node=2))
+    assert pickle.dumps(t, protocol) == PICKLED_TREE[protocol]
+
+
+def test_tree_has_slots_and_dataclass_surface():
+    t = realize_cluster(0, 1, P("w+1"))
+    # fields and memos are slots: no node has an instance dict, and trees
+    # can still be weakly referenced
+    assert not any(hasattr(node, "__dict__") for node in t.iter_nodes())
+    assert weakref.ref(t)() is t
+    defaults = [(f.name, f.default) for f in fields(ClusterTree)]
+    assert defaults == [
+        ("center", MISSING),
+        ("radius", MISSING),
+        ("rank", MISSING),
+        ("children", ()),
+        ("tail", None),
+    ]
+    leaf = ClusterTree(F(1), F(1, 2), ZERO)
+    assert leaf.is_leaf and leaf.children == () and leaf.tail is None
+    assert repr(leaf) == "ClusterTree(center=Fraction(1, 1), radius=Fraction(1, 2), rank=Ordinal(\"0\"), children=(), tail=None)"
+    assert replace(t) == t and hash(replace(t)) == hash(t)
+    with pytest.raises(AttributeError):
+        t.rank = ZERO
 
 
 # ---------------------------------------------------------------- config file

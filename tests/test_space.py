@@ -7,8 +7,11 @@ derivative_steps (helpers.stagewise_union).
 
 from __future__ import annotations
 
+import copy
 import pickle
 import random
+import weakref
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +34,7 @@ from cbkit.space import (
 )
 from cbkit.oracle import audit_rank, char_by_pruning, prune, prune_forest
 from cbkit.realize import realize_multi
+import space_reference as reference
 from helpers import (
     assert_survives_checks,
     random_char,
@@ -66,6 +70,50 @@ def test_pair_arguments_must_be_chars():
     ):
         with pytest.raises(TypeError, match="^expected CbChar values$"):
             call()
+
+
+# protocol 2 and 4 pickles of a pair, as written before CbChar had slots:
+# stored pickles must still load, and new ones must not differ
+PICKLED_CHAR = {
+    2: (
+        b"\x80\x02ccbkit.space\nCbChar\nq\x00)\x81q\x01}q\x02(X\x04\x00\x00\x00rankq\x03ccbkit.ordinal\nOrdinal\nq\x04)\x81q\x05"
+        b"}q\x06X\x05\x00\x00\x00termsq\x07h\x04)\x81q\x08}q\th\x07h\x04)\x81q\n}q\x0bh\x07)sbK\x02\x86q\x0c\x85q\rsbK\x01"
+        b"\x86q\x0eh\nK\x01\x86q\x0f\x86q\x10sbX\x05\x00\x00\x00countq\x11K\x03ub."
+    ),
+    4: (
+        b"\x80\x04\x95\x87\x00\x00\x00\x00\x00\x00\x00\x8c\x0bcbkit.space\x94\x8c\x06CbChar\x94\x93\x94)\x81\x94}\x94(\x8c"
+        b"\x04rank\x94\x8c\rcbkit.ordinal\x94\x8c\x07Ordinal\x94\x93\x94)\x81\x94}\x94\x8c\x05terms\x94h\x08)\x81\x94}\x94h"
+        b"\x0bh\x08)\x81\x94}\x94h\x0b)sbK\x02\x86\x94\x85\x94sbK\x01\x86\x94h\x0eK\x01\x86\x94\x86\x94sb\x8c\x05count\x94K"
+        b"\x03ub."
+    ),
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(PICKLED_CHAR))
+def test_char_pickle_bytes_are_stable(protocol):
+    c = C(P("w^(2)+1"), 3)
+    loaded = pickle.loads(PICKLED_CHAR[protocol])
+    assert loaded == c and str(loaded) == "(w^(2)+1, 3)"
+    assert_char_survives_checks(loaded)
+    assert pickle.dumps(c, protocol) == PICKLED_CHAR[protocol]
+
+
+def test_char_has_slots_and_dataclass_surface():
+    c = C(P("w*2+1"), 4)
+    # the fields are slots: no pair has an instance dict, but pairs can
+    # still be weakly referenced
+    assert not hasattr(c, "__dict__") and not hasattr(EMPTY_CLASS, "__dict__")
+    assert weakref.ref(c)() is c
+    assert not any(hasattr(x, "__dict__") for x in (*census(3, 2), derivative(c), union_char(c, c)))
+    assert [(f.name, f.type) for f in fields(CbChar)] == [("rank", "Ordinal"), ("count", "int")]
+    assert repr(c) == 'CbChar(rank=Ordinal("w*2+1"), count=4)'
+    for twin in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c)), replace(c)):
+        assert twin == c and hash(twin) == hash(c) and twin is not c
+    assert replace(c, count=1) == C(P("w*2+1"), 1)
+    with pytest.raises(ValueError):
+        replace(c, count=0)
+    with pytest.raises(AttributeError):
+        c.count = 5
 
 
 def test_char_validation():
@@ -172,6 +220,37 @@ def test_census_size_formula():
     for b in (1, 2, 5):
         for p in (1, 3):
             assert len(census(b, p)) == 1 + b * p
+
+
+def _census_or_error(fn, bound, count, max_ranks, size_cap):
+    try:
+        return fn(bound, count, max_ranks=max_ranks, size_cap=size_cap)
+    except CensusBudgetError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=9) | st_nested_ordinal,
+    st.integers(min_value=0, max_value=4),
+    st.none() | st.integers(min_value=0, max_value=7),
+    st.sampled_from([100_000, 12, 0]),
+)
+def test_census_matches_reference(bound, count, max_ranks, size_cap):
+    got = _census_or_error(census, bound, count, max_ranks, size_cap)
+    want = _census_or_error(reference.census, bound, count, max_ranks, size_cap)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    # same size, same order, equal pairs
+    assert len(got) == len(want) and got == want
+    assert all(type(c) is CbChar for c in got)
+    # one rank object per rank, shared by that rank's pairs
+    ranks: dict[Ordinal, set[int]] = {}
+    for c in got[1:]:
+        ranks.setdefault(c.rank, set()).add(id(c.rank))
+    assert all(len(ids) == 1 for ids in ranks.values())
+    assert sorted(int(r) for r in ranks) == list(range(len(ranks)))
 
 
 def test_class_count_examples():
