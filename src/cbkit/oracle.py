@@ -322,90 +322,102 @@ def geometry_check(tree: ClusterTree) -> GeometryReport:
     level, and a loaded tree is at most MAX_TREE_DEPTH levels deep.
     """
     scale = 2 * _scale(tree)
-    # scaled centers in preorder: when a node returns, its subtree is the
-    # suffix of vals from its own position on
-    vals: list[int] = []
-    latest: dict[int, int] = {}  # scaled center -> its last position in vals
-    annuli = 0
-    claim_ok = {1: True, 2: True, 3: True}
-    first: AnnulusCheck | None = None
-
-    def visit(node: ClusterTree, path: str) -> tuple[int, int]:
-        """Check the subtree in post-order and return its hull."""
-        nonlocal annuli, first
-        z = _scaled(node.center, scale)
-        start = len(vals)
-        latest[z] = start
-        vals.append(z)
-        lo = hi = z
-        if not node.children:
-            return lo, hi
-        starts: list[int] = []
-        dist: list[int] = []
-        dmin: list[int] = []
-        dmax: list[int] = []
-        for i, child in enumerate(node.children):
-            begin = len(vals)
-            child_lo, child_hi = visit(child, _child_path(path, i))
-            starts.append(begin)
-            dist.append(abs(vals[begin] - z))
-            if z <= child_lo:
-                dmin.append(child_lo - z)
-                dmax.append(child_hi - z)
-            elif z >= child_hi:
-                dmin.append(z - child_hi)
-                dmax.append(z - child_lo)
-            else:
-                # center inside the hull: only the maximum is interval-determined
-                dmin.append(min(abs(v - z) for v in vals[begin:]))
-                dmax.append(max(child_hi - z, z - child_lo))
-            if child_lo < lo:
-                lo = child_lo
-            if child_hi > hi:
-                hi = child_hi
-        m = len(starts)
-        if m < 2:
-            return lo, hi
-        starts.append(len(vals))
-        annuli += m - 1
-        inner = list(accumulate(dmin, min))  # inner[n]: min over children 0..n
-        outer = list(accumulate(reversed(dmax), max))[::-1]  # outer[k]: max over k..m-1
-        for n in range(m - 1):
-            bound = (dist[n] + dist[n + 1]) // 2
-            near = inner[n] < bound
-            far = outer[n + 1] >= bound
-            point = None
-            for v in (z - bound, z + bound) if bound else (z,):
-                if latest.get(v, -1) >= start:
-                    point = v
-                    break
-            if not (near or far or point is not None):
-                continue
-            claim_ok[1] = claim_ok[1] and not near
-            claim_ok[2] = claim_ok[2] and not far
-            claim_ok[3] = claim_ok[3] and point is None
-            if first is not None:
-                continue
-            if near:
-                k = next(k for k in range(n + 1) if dmin[k] < bound)
-                claim, point = 1, min(v for v in vals[starts[k] : starts[k + 1]] if abs(v - z) < bound)
-            elif far:
-                k = next(k for k in range(n + 1, m) if dmax[k] >= bound)
-                claim, point = 2, min(v for v in vals[starts[k] : starts[k + 1]] if abs(v - z) >= bound)
-            else:
-                claim = 3
-            first = AnnulusCheck(path, n, claim, Fraction(point, scale), Fraction(bound, scale))
-        return lo, hi
-
-    visit(tree, "/")
+    tally = _Tally()
+    _check_annuli(tree, "/", scale, [], {}, tally)
     return GeometryReport(
-        ok=first is None,
-        annuli=annuli,
-        claim1_ok=claim_ok[1],
-        claim2_ok=claim_ok[2],
-        claim3_ok=claim_ok[3],
-        counterexample=first,
+        ok=tally.first is None,
+        annuli=tally.annuli,
+        claim1_ok=tally.claim_ok[1],
+        claim2_ok=tally.claim_ok[2],
+        claim3_ok=tally.claim_ok[3],
+        counterexample=tally.first,
     )
+
+
+class _Tally:
+    """What geometry_check's walk has found so far."""
+
+    __slots__ = ("annuli", "claim_ok", "first")
+
+    def __init__(self) -> None:
+        self.annuli = 0
+        self.claim_ok = {1: True, 2: True, 3: True}
+        self.first: AnnulusCheck | None = None
+
+
+def _check_annuli(
+    node: ClusterTree, path: str, scale: int, vals: list[int], latest: dict[int, int], tally: _Tally
+) -> tuple[int, int]:
+    """Check the subtree in post-order and return its hull.
+
+    vals holds the scaled centers in preorder, so when a node returns its
+    subtree is the suffix of vals from its own position on; latest maps a
+    scaled center to its last position in vals.
+    """
+    z = _scaled(node.center, scale)
+    start = len(vals)
+    latest[z] = start
+    vals.append(z)
+    lo = hi = z
+    if not node.children:
+        return lo, hi
+    starts: list[int] = []
+    dist: list[int] = []
+    dmin: list[int] = []
+    dmax: list[int] = []
+    for i, child in enumerate(node.children):
+        begin = len(vals)
+        child_lo, child_hi = _check_annuli(child, _child_path(path, i), scale, vals, latest, tally)
+        starts.append(begin)
+        dist.append(abs(vals[begin] - z))
+        if z <= child_lo:
+            dmin.append(child_lo - z)
+            dmax.append(child_hi - z)
+        elif z >= child_hi:
+            dmin.append(z - child_hi)
+            dmax.append(z - child_lo)
+        else:
+            # center inside the hull: only the maximum is interval-determined
+            dmin.append(min(abs(v - z) for v in vals[begin:]))
+            dmax.append(max(child_hi - z, z - child_lo))
+        if child_lo < lo:
+            lo = child_lo
+        if child_hi > hi:
+            hi = child_hi
+    m = len(starts)
+    if m < 2:
+        return lo, hi
+    starts.append(len(vals))
+    tally.annuli += m - 1
+    inner = list(accumulate(dmin, min))  # inner[n]: min over children 0..n
+    outer = list(accumulate(reversed(dmax), max))[::-1]  # outer[k]: max over k..m-1
+    for n in range(m - 1):
+        bound = (dist[n] + dist[n + 1]) // 2
+        near = inner[n] < bound
+        far = outer[n + 1] >= bound
+        point = None
+        for v in (z - bound, z + bound) if bound else (z,):
+            if latest.get(v, -1) >= start:
+                point = v
+                break
+        if not (near or far or point is not None):
+            continue
+        claim_ok = tally.claim_ok
+        claim_ok[1] = claim_ok[1] and not near
+        claim_ok[2] = claim_ok[2] and not far
+        claim_ok[3] = claim_ok[3] and point is None
+        if tally.first is not None:
+            continue
+        if near:
+            k = next(k for k in range(n + 1) if dmin[k] < bound)
+            claim, point = 1, min(v for v in vals[starts[k] : starts[k + 1]] if abs(v - z) < bound)
+        elif far:
+            k = next(k for k in range(n + 1, m) if dmax[k] >= bound)
+            claim, point = 2, min(v for v in vals[starts[k] : starts[k + 1]] if abs(v - z) >= bound)
+        else:
+            claim = 3
+        tally.first = AnnulusCheck(path, n, claim, Fraction(point, scale), Fraction(bound, scale))
+    return lo, hi
 
 
 def _table(tree: ClusterTree) -> list[tuple[int | None, int, list[int], int, int]]:
@@ -493,49 +505,51 @@ def audit_rank(tree: ClusterTree, exact: bool = True) -> Ordinal:
     all at the predecessor rank, limit children strictly climbing below
     the parent.
     """
-    # scheduled rank of child i of a limit node, per (rank, i): the keys
-    # repeat across the tree
-    limit_ranks: dict[tuple[Ordinal, int], Ordinal] = {}
-
-    def visit(node: ClusterTree, path: str) -> None:
-        rank = node.rank
-        if rank.is_zero:
-            if not node.is_leaf:
-                raise AuditError(f"rank 0 node with children at {path}")
-            return
-        if node.tail is None:
-            raise AuditError(f"positive rank without a tail rule at {path}")
-        generator = generator_for(rank)
-        if node.tail.generator != generator:
-            raise AuditError(f"tail generator disagrees with rank at {path}")
-        if exact and node.tail.next_index != len(node.children):
-            raise AuditError(f"children are not a tail prefix at {path}")
-        previous: Ordinal | None = None
-        # every child of a successor node carries its predecessor
-        succ_rank = rank.pred() if generator == SUCCESSOR and node.children else None
-        for i, child in enumerate(node.children):
-            here = _child_path(path, i)
-            if exact:
-                expected = succ_rank
-                if expected is None:
-                    expected = limit_ranks.get((rank, i))
-                    if expected is None:
-                        expected = limit_ranks[rank, i] = fundamental_seq(rank, i)
-                if child.rank != expected:
-                    raise AuditError(f"child rank {child.rank} != {expected} at {here}")
-            elif succ_rank is not None:
-                if child.rank != succ_rank:
-                    raise AuditError(f"successor child rank {child.rank} at {here}")
-            else:
-                if child.rank >= rank:
-                    raise AuditError(f"limit child rank {child.rank} not below parent at {here}")
-                if previous is not None and child.rank <= previous:
-                    raise AuditError(f"limit child ranks not climbing at {here}")
-                previous = child.rank
-            visit(child, here)
-
-    visit(tree, "/")
+    _audit(tree, "/", exact, {})
     return tree.rank
+
+
+def _audit(node: ClusterTree, path: str, exact: bool, limit_ranks: dict[tuple[Ordinal, int], Ordinal]) -> None:
+    """audit_rank's walk.
+
+    limit_ranks keeps the scheduled rank of child i of a limit node, per
+    (rank, i): the keys repeat across the tree.
+    """
+    rank = node.rank
+    if rank.is_zero:
+        if not node.is_leaf:
+            raise AuditError(f"rank 0 node with children at {path}")
+        return
+    if node.tail is None:
+        raise AuditError(f"positive rank without a tail rule at {path}")
+    generator = generator_for(rank)
+    if node.tail.generator != generator:
+        raise AuditError(f"tail generator disagrees with rank at {path}")
+    if exact and node.tail.next_index != len(node.children):
+        raise AuditError(f"children are not a tail prefix at {path}")
+    previous: Ordinal | None = None
+    # every child of a successor node carries its predecessor
+    succ_rank = rank.pred() if generator == SUCCESSOR and node.children else None
+    for i, child in enumerate(node.children):
+        here = _child_path(path, i)
+        if exact:
+            expected = succ_rank
+            if expected is None:
+                expected = limit_ranks.get((rank, i))
+                if expected is None:
+                    expected = limit_ranks[rank, i] = fundamental_seq(rank, i)
+            if child.rank != expected:
+                raise AuditError(f"child rank {child.rank} != {expected} at {here}")
+        elif succ_rank is not None:
+            if child.rank != succ_rank:
+                raise AuditError(f"successor child rank {child.rank} at {here}")
+        else:
+            if child.rank >= rank:
+                raise AuditError(f"limit child rank {child.rank} not below parent at {here}")
+            if previous is not None and child.rank <= previous:
+                raise AuditError(f"limit child ranks not climbing at {here}")
+            previous = child.rank
+        _audit(child, here, exact, limit_ranks)
 
 
 def audit_char(forest: ClusterTree | Iterable[ClusterTree], exact: bool = True) -> CbChar:

@@ -413,75 +413,84 @@ def validate_tree(
     Freshly realized trees satisfy expect_prefix; pruned trees may not,
     since their surviving children keep their original family indices.
     """
-    # centers as (numerator, denominator), which is canonical for a Fraction
-    seen: set[tuple[int, int]] = set()
-
-    def visit(node: ClusterTree, path: str) -> None:
-        # the caller has checked that center and radius are Fractions
-        z = node.center
-        if node.radius.numerator <= 0:
-            raise TreeInvariantError(f"nonpositive radius at {path}")
-        key = (z.numerator, z.denominator)
-        if key in seen:
-            raise TreeInvariantError(f"duplicate center {z} at {path}")
-        seen.add(key)
-        if node.is_leaf != node.rank.is_zero:
-            raise TreeInvariantError(f"rank/leaf mismatch at {path}")
-        if node.children and node.tail is None:
-            raise TreeInvariantError(f"interior node without a tail rule at {path}")
-        if node.tail is not None:
-            generator = generator_for(node.rank)
-            if node.tail.generator != generator:
-                raise TreeInvariantError(f"tail generator disagrees with rank at {path}")
-            if expect_prefix and node.tail.next_index != len(node.children):
-                raise TreeInvariantError(f"children are not a tail prefix at {path}")
-        kids = node.children
-        if not kids:
-            return
-        for i, child in enumerate(kids):
-            if not _is_rational(child):
-                raise TreeInvariantError(f"non-rational geometry at {_child_path(path, i)}")
-        # Each child's checks read six values at most: the node center, the
-        # outer end of the child's shell, and the child's and the next
-        # child's centers and radii.  They compare as ints on the lcm of those
-        # values' denominators alone, so no scale grows with the number of
-        # children.
-        ratios = [q.as_integer_ratio() for child in kids for q in (child.center, child.radius)]
-        center_ratio = z.as_integer_ratio()
-        for i, child in enumerate(kids):
-            here = _child_path(path, i)
-            # the first shell ends at the node radius, each later one at the
-            # previous child's offset
-            outer = ratios[2 * i - 2] if i else node.radius.as_integer_ratio()
-            window = [center_ratio, outer, *ratios[2 * i : 2 * i + 4]]
-            scale = lcm(*[den for _, den in window])
-            zs, bound, c, r, *after = [num * (scale // den) for num, den in window]
-            dist = abs(c - zs)
-            if dist == 0:
-                raise TreeInvariantError(f"child sits on the node center at {here}")
-            upper = abs(bound - zs) if i else bound
-            if dist + r > upper:
-                raise TreeInvariantError(f"child ball escapes its shell at {here}")
-            if after:
-                next_c, next_r = after
-                next_dist = abs(next_c - zs)
-                if next_dist >= dist:
-                    raise TreeInvariantError(f"child offsets not strictly decreasing at {here}")
-                if dist - r < next_dist:
-                    raise TreeInvariantError(f"child ball dips below the next offset at {here}")
-                if abs(next_c - c) < r + next_r:
-                    raise TreeInvariantError(f"sibling balls overlap at {here}")
-            if cfg is not None:
-                x, eps = child_geometry(cfg, z, node.radius, i)
-                if child.center != x or child.radius != eps:
-                    raise TreeInvariantError(f"child geometry off the schedule at {here}")
-                if child.rank != child_rank(node.rank, node.tail.generator, i):
-                    raise TreeInvariantError(f"child rank off the recursion at {here}")
-            visit(child, here)
-
     if not _is_rational(tree):
         raise TreeInvariantError("non-rational geometry at /")
-    visit(tree, "/")
+    _validate(tree, "/", set(), cfg, expect_prefix)
+
+
+def _validate(
+    node: ClusterTree,
+    path: str,
+    seen: set[tuple[int, int]],
+    cfg: RealizationConfig | None,
+    expect_prefix: bool,
+) -> None:
+    """validate_tree's walk.
+
+    seen holds the centers met so far as (numerator, denominator), which is
+    canonical for a Fraction.
+    """
+    # the caller has checked that center and radius are Fractions
+    z = node.center
+    if node.radius.numerator <= 0:
+        raise TreeInvariantError(f"nonpositive radius at {path}")
+    key = (z.numerator, z.denominator)
+    if key in seen:
+        raise TreeInvariantError(f"duplicate center {z} at {path}")
+    seen.add(key)
+    if node.is_leaf != node.rank.is_zero:
+        raise TreeInvariantError(f"rank/leaf mismatch at {path}")
+    if node.children and node.tail is None:
+        raise TreeInvariantError(f"interior node without a tail rule at {path}")
+    if node.tail is not None:
+        generator = generator_for(node.rank)
+        if node.tail.generator != generator:
+            raise TreeInvariantError(f"tail generator disagrees with rank at {path}")
+        if expect_prefix and node.tail.next_index != len(node.children):
+            raise TreeInvariantError(f"children are not a tail prefix at {path}")
+    kids = node.children
+    if not kids:
+        return
+    for i, child in enumerate(kids):
+        if not _is_rational(child):
+            raise TreeInvariantError(f"non-rational geometry at {_child_path(path, i)}")
+    # Each child's checks read six values at most: the node center, the
+    # outer end of the child's shell, and the child's and the next
+    # child's centers and radii.  They compare as ints on the lcm of those
+    # values' denominators alone, so no scale grows with the number of
+    # children.
+    ratios = [q.as_integer_ratio() for child in kids for q in (child.center, child.radius)]
+    center_ratio = z.as_integer_ratio()
+    for i, child in enumerate(kids):
+        here = _child_path(path, i)
+        # the first shell ends at the node radius, each later one at the
+        # previous child's offset
+        outer = ratios[2 * i - 2] if i else node.radius.as_integer_ratio()
+        window = [center_ratio, outer, *ratios[2 * i : 2 * i + 4]]
+        scale = lcm(*[den for _, den in window])
+        zs, bound, c, r, *after = [num * (scale // den) for num, den in window]
+        dist = abs(c - zs)
+        if dist == 0:
+            raise TreeInvariantError(f"child sits on the node center at {here}")
+        upper = abs(bound - zs) if i else bound
+        if dist + r > upper:
+            raise TreeInvariantError(f"child ball escapes its shell at {here}")
+        if after:
+            next_c, next_r = after
+            next_dist = abs(next_c - zs)
+            if next_dist >= dist:
+                raise TreeInvariantError(f"child offsets not strictly decreasing at {here}")
+            if dist - r < next_dist:
+                raise TreeInvariantError(f"child ball dips below the next offset at {here}")
+            if abs(next_c - c) < r + next_r:
+                raise TreeInvariantError(f"sibling balls overlap at {here}")
+        if cfg is not None:
+            x, eps = child_geometry(cfg, z, node.radius, i)
+            if child.center != x or child.radius != eps:
+                raise TreeInvariantError(f"child geometry off the schedule at {here}")
+            if child.rank != child_rank(node.rank, node.tail.generator, i):
+                raise TreeInvariantError(f"child rank off the recursion at {here}")
+        _validate(child, here, seen, cfg, expect_prefix)
 
 
 def _is_rational(node: ClusterTree) -> bool:
@@ -523,60 +532,63 @@ MAX_TREE_DEPTH = 100
 
 
 def tree_from_obj(obj: dict, strict: bool = False) -> ClusterTree:
-    return _loader(strict)(obj, 0)
+    return _load(obj, 0, strict, {}, {}, {})
 
 
-def _loader(strict: bool) -> Callable[[object, int], ClusterTree]:
-    """A reader of tree objects for one load, sharing what repeats across its nodes.
+def _load(
+    obj: object,
+    depth: int,
+    strict: bool,
+    ranks: dict[str, Ordinal],
+    radii: dict[str, Fraction],
+    tails: dict[tuple[int, str], TailSpec],
+) -> ClusterTree:
+    """Read a tree object at the given level below its root.
 
     Rank texts, radius texts and (next_index, generator) pairs repeat, so
-    the reader parses or builds each once per load and shares the value.
-    Centers are all distinct and are read one by one.  The reader takes a
-    tree object and its level below its root.
+    one load parses or builds each once, keeps it in ranks, radii and tails,
+    and shares the value.  Centers are all distinct and are read one by one.
     """
-    ranks: dict[str, Ordinal] = {}
-    radii: dict[str, Fraction] = {}
-    tails: dict[tuple[int, str], TailSpec] = {}
-
-    def load(obj: object, depth: int) -> ClusterTree:
-        if depth > MAX_TREE_DEPTH:
-            raise ValueError(f"cluster tree deeper than {MAX_TREE_DEPTH} levels")
-        if not isinstance(obj, dict):
-            raise ValueError("cluster tree must be a JSON object")
-        missing = {"center", "radius", "rank", "children", "tail"} - obj.keys()
-        if missing:
-            raise ValueError(f"cluster tree object lacks {sorted(missing)}")
-        text = obj["rank"]
-        if not isinstance(text, str):
-            raise ValueError("rank must be ordinal text")
-        if not isinstance(obj["children"], list):
-            raise ValueError("children must be a list")
-        tail = None
-        if obj["tail"] is not None:
-            spec = obj["tail"]
-            if not isinstance(spec, dict) or {"next_index", "generator"} - spec.keys():
-                raise ValueError("tail must carry next_index and generator")
-            index, generator = spec["next_index"], spec["generator"]
-            # only an int and a str are shared: true and 1.0 equal 1 and hash
-            # alike, yet TailSpec refuses them
-            key = (index, generator) if type(index) is int and type(generator) is str else None
-            tail = tails.get(key)
-            if tail is None:
-                tail = TailSpec(index, generator)
-                if key is not None:
-                    tails[key] = tail
-        center = fraction_from_text(obj["center"])
-        radius_text = obj["radius"]
-        radius = radii.get(radius_text) if isinstance(radius_text, str) else None
-        if radius is None:
-            radius = radii[radius_text] = fraction_from_text(radius_text)
-        rank = ranks.get(text)
-        if rank is None:
-            rank = ranks[text] = parse_ordinal(text, strict=strict)
-        children = tuple(load(child, depth + 1) for child in obj["children"])
-        return ClusterTree(center, radius, rank, children, tail)
-
-    return load
+    if depth > MAX_TREE_DEPTH:
+        raise ValueError(f"cluster tree deeper than {MAX_TREE_DEPTH} levels")
+    if not isinstance(obj, dict):
+        raise ValueError("cluster tree must be a JSON object")
+    missing = {"center", "radius", "rank", "children", "tail"} - obj.keys()
+    if missing:
+        raise ValueError(f"cluster tree object lacks {sorted(missing)}")
+    text = obj["rank"]
+    if not isinstance(text, str):
+        raise ValueError("rank must be ordinal text")
+    if not isinstance(obj["children"], list):
+        raise ValueError("children must be a list")
+    tail = None
+    if obj["tail"] is not None:
+        spec = obj["tail"]
+        if not isinstance(spec, dict) or {"next_index", "generator"} - spec.keys():
+            raise ValueError("tail must carry next_index and generator")
+        index, generator = spec["next_index"], spec["generator"]
+        # only an int and a str are shared: true and 1.0 equal 1 and hash
+        # alike, yet TailSpec refuses them
+        key = (index, generator) if type(index) is int and type(generator) is str else None
+        tail = tails.get(key)
+        if tail is None:
+            tail = TailSpec(index, generator)
+            if key is not None:
+                tails[key] = tail
+    center = fraction_from_text(obj["center"])
+    radius_text = obj["radius"]
+    radius = radii.get(radius_text) if isinstance(radius_text, str) else None
+    if radius is None:
+        radius = radii[radius_text] = fraction_from_text(radius_text)
+    rank = ranks.get(text)
+    if rank is None:
+        rank = ranks[text] = parse_ordinal(text, strict=strict)
+    # a loop, not a generator: one would close over the arguments and make
+    # every read of them in this body a cell read
+    children = []
+    for child in obj["children"]:
+        children.append(_load(child, depth + 1, strict, ranks, radii, tails))
+    return ClusterTree(center, radius, rank, tuple(children), tail)
 
 
 def _write_forest(objs: Sequence[dict], write: Callable[[str], object]) -> None:
@@ -659,10 +671,11 @@ def dump_forest(forest: Sequence[ClusterTree], path: str | Path) -> None:
 
 def load_forest(path: str | Path, strict: bool = False) -> tuple[ClusterTree, ...]:
     data = _read_json(Path(path).read_text())
-    load = _loader(strict)
-    if isinstance(data, list):
-        return tuple(load(obj, 0) for obj in data)
-    return (load(data, 0),)
+    ranks: dict[str, Ordinal] = {}
+    radii: dict[str, Fraction] = {}
+    tails: dict[tuple[int, str], TailSpec] = {}
+    objs = data if isinstance(data, list) else [data]
+    return tuple(_load(obj, 0, strict, ranks, radii, tails) for obj in objs)
 
 
 # config key -> caster, read off the type of each field's default

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -546,6 +547,93 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def _collector_state():
+    return gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()
+
+
+def _interrupt(args):
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collecting", "paused"])
+def test_main_restores_the_collector(capsys, monkeypatch, tmp_path, enabled):
+    bad = tmp_path / "bad.json"
+    assert run(capsys, "realize", "2", "--out", str(bad))[0] == 0
+    obj = json.loads(bad.read_text())
+    obj["children"][0]["children"][0]["center"] = "3/16"  # onto the root sphere
+    bad.write_text(json.dumps(obj))
+    cases = [
+        (["ord", "add", "1", "w"], 0),
+        (["verify", str(bad)], 1),
+        (["verify", str(tmp_path / "absent.json")], 2),
+        (["frobnicate"], SystemExit),
+        (["ord", "add", "1"], SystemExit),
+        (["ord", "sub", "w*2", "w"], 3),
+        (["ord", "add", "1", "w"], KeyboardInterrupt),
+    ]
+    was_enabled = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        before = _collector_state()
+        for argv, outcome in cases:
+            if outcome is KeyboardInterrupt:
+                monkeypatch.setattr("cbkit.cli._cmd_ord", _interrupt)
+            if isinstance(outcome, int):
+                assert main(argv) == outcome
+            else:
+                with pytest.raises(outcome):
+                    main(argv)
+            assert _collector_state() == before, argv
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_verify_dir_garbage_does_not_grow_with_its_files(capsys, tmp_path):
+    tree = tmp_path / "t.json"
+    assert run(capsys, "realize", "w+1", "-p", "2", "--out", str(tree))[0] == 0
+    found = []
+    for files in (2, 12):
+        trees = tmp_path / f"d{files}"
+        trees.mkdir()
+        for k in range(files):
+            (trees / f"t{k:02}.json").write_bytes(tree.read_bytes())
+        gc.collect()
+        code = main(["verify", str(trees)])
+        found.append(gc.collect())
+        capsys.readouterr()
+        assert code == 0
+    # one argument parser's worth, not some per file or tree
+    assert found[0] == found[1]
+
+
+def test_process_entry_freezes_the_import_heap():
+    script = (
+        "import gc, sys; from cbkit.cli import run; sys.argv[1:] = ['ord', 'sub', 'w*2', 'w']; "
+        "code = run(); print(gc.isenabled(), gc.get_freeze_count() > 0, code)"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert (proc.stdout, proc.stderr) == ("True True 3\n", "cbkit: Undefined: w*2 > w\n")
+
+
+def test_module_entry_matches_main(capsys, tmp_path):
+    def invoke(entry, *argv):
+        if entry == "main":
+            code, out, err = run(capsys, *argv)
+            return code, out.encode(), err.encode()
+        proc = subprocess.run([sys.executable, "-m", "cbkit", *argv], capture_output=True, timeout=120)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    results = {}
+    for entry in ("module", "main"):
+        tree, points = tmp_path / f"{entry}.json", tmp_path / f"{entry}.csv"
+        realized = invoke(entry, "realize", "w^(2)+1", "-p", "2", "--out", str(tree), "--points", str(points))
+        # the report names the tree's path, so both verify the same file
+        verified = invoke(entry, "verify", str(tmp_path / "module.json"))
+        results[entry] = (realized, tree.read_bytes(), points.read_bytes(), verified)
+    assert results["module"] == results["main"]
+    assert results["main"][3][0] == 0
 
 
 # ------------------------------------------------------------ outputs, budgets
