@@ -88,15 +88,18 @@ _DOMAIN_LABELS = {
     PrintBudgetError: "PrintBudgetExceeded",
 }
 
+# Domain errors end a run with exit 3, and these, bad input, with exit 2
+_HANDLED = (*_DOMAIN_LABELS, ValueError, KeyError, TypeError, OSError)
 
-# Exceptions that mean the input was bad (exit 2)
-_BAD_INPUT = (ValueError, KeyError, TypeError, OSError)
 
-
-def _domain_line(exc: Exception) -> str:
-    """The stderr line of a domain error or an exhausted budget."""
-    label = next(lbl for t, lbl in _DOMAIN_LABELS.items() if isinstance(exc, t))
-    return f"{label}: {exc}"
+def _fail(exc: Exception, where: str = "") -> tuple[int, str]:
+    """Print a handled exception's stderr line; return its exit code and report failure."""
+    label = next((lbl for t, lbl in _DOMAIN_LABELS.items() if isinstance(exc, t)), None)
+    if label is None:
+        print(f"cbkit: {where}error: {exc}", file=sys.stderr)
+        return 2, f"input: {exc}"
+    print(f"cbkit: {where}{label}: {exc}", file=sys.stderr)
+    return 3, f"budget: {label}: {exc}"
 
 
 def _compact(obj: object) -> str:
@@ -250,6 +253,12 @@ def _verify_file(path: Path, cfg: RealizationConfig, strict: bool) -> dict:
             validate_tree(tree, cfg=None, expect_prefix=True)
         except TreeInvariantError as exc:
             failures.append(f"structure[{i}]: {exc}")
+    # a sound tree's points lie strictly inside its root ball, so the
+    # clusters are disjoint when those balls meet at most on their edges
+    roots = sorted((t.center - t.radius, i) for i, t in enumerate(forest) if t.radius > 0)
+    for (_, i), (left, j) in zip(roots, roots[1:]):
+        if left < forest[i].center + forest[i].radius:
+            failures.append(f"structure[{j}]: cluster ball overlaps tree {i}")
 
     char_expected = None
     try:
@@ -277,6 +286,12 @@ def _verify_file(path: Path, cfg: RealizationConfig, strict: bool) -> dict:
                     if not restriction_check(tree, n, beta, cfg):
                         failures.append(f"restriction[{i}]: annulus {n}, stage {beta}")
 
+    return _report(path, failures, geometry, char_expected, char_pruned)
+
+
+def _report(path: Path, failures: list[str], geometry: dict | None = None,
+            char_expected: CbChar | None = None, char_pruned: CbChar | None = None) -> dict:
+    """A verify report; a file no oracle could finish has only its failure."""
     return {
         "tree": str(path),
         "geometry": geometry,
@@ -284,18 +299,6 @@ def _verify_file(path: Path, cfg: RealizationConfig, strict: bool) -> dict:
         "char_pruned": None if char_pruned is None else char_to_obj(char_pruned),
         "ok": not failures,
         "failures": failures,
-    }
-
-
-def _failed_report(path: Path, failure: str) -> dict:
-    """The report of a file no oracle could finish."""
-    return {
-        "tree": str(path),
-        "geometry": None,
-        "char_expected": None,
-        "char_pruned": None,
-        "ok": False,
-        "failures": [failure],
     }
 
 
@@ -318,13 +321,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 raise OSError("not a regular file")
             report = _verify_file(f, cfg, strict)
             file_code = 0 if report["ok"] else 1
-        except ScaleBudgetError as exc:
-            line = _domain_line(exc)
-            print(f"cbkit: {f}: {line}", file=sys.stderr)
-            report, file_code = _failed_report(f, f"budget: {line}"), 3
-        except _BAD_INPUT as exc:
-            print(f"cbkit: {f}: error: {exc}", file=sys.stderr)
-            report, file_code = _failed_report(f, f"input: {exc}"), 2
+        except _HANDLED as exc:
+            file_code, failure = _fail(exc, f"{f}: ")
+            report = _report(f, [failure])
         reports.append(report)
         code = max(code, file_code)
     _emit(json.dumps(reports, indent=2) + "\n", args.report)
@@ -432,12 +431,8 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
         try:
             return args.handler(args)
-        except tuple(_DOMAIN_LABELS) as exc:
-            print(f"cbkit: {_domain_line(exc)}", file=sys.stderr)
-            return 3
-        except _BAD_INPUT as exc:
-            print(f"cbkit: error: {exc}", file=sys.stderr)
-            return 2
+        except _HANDLED as exc:
+            return _fail(exc)[0]
     finally:
         if enabled:
             gc.enable()

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, NoReturn
 
 __all__ = [
@@ -92,6 +92,28 @@ def _operator(op: Callable[[Ordinal, Ordinal], object]) -> Callable[[Ordinal, ob
     return method
 
 
+def _field_state(cls: type) -> type:
+    """Pickle and copy a frozen slotted dataclass as the dict of its fields."""
+    # The dict an instance dict held before the classes had slots, so
+    # stored pickles load and new ones keep their bytes; a slot that is not
+    # a field, such as a memo, is never carried.  Applied above the
+    # dataclass decorator, because dataclass(slots=True) before Python 3.11
+    # puts its own list-state pair over a frozen class's pair.
+    names = tuple(f.name for f in fields(cls))
+
+    def __getstate__(self) -> dict:
+        return {name: getattr(self, name) for name in names}
+
+    def __setstate__(self, state: dict) -> None:
+        for name in names:
+            object.__setattr__(self, name, state[name])
+
+    cls.__getstate__ = __getstate__
+    cls.__setstate__ = __setstate__
+    return cls
+
+
+@_field_state
 @dataclass(frozen=True, eq=False, repr=False)
 class Ordinal:
     """A countable ordinal below epsilon-zero, in Cantor normal form."""
@@ -192,13 +214,6 @@ class Ordinal:
             value = hash(terms)
         _set_hash(self, value)
         return value
-
-    # pickles carry the terms only, not the hash memo
-    def __getstate__(self) -> dict:
-        return {"terms": self.terms}
-
-    def __setstate__(self, state: dict) -> None:
-        _set_terms(self, state["terms"])
 
     __lt__ = _operator(lambda a, b: _order(a.terms, b.terms) < 0)
     __le__ = _operator(lambda a, b: _order(a.terms, b.terms) <= 0)

@@ -27,7 +27,7 @@ from math import lcm
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .ordinal import ONE, Ordinal, _is_natural, _require_natural, format_ordinal, fundamental_seq, parse_ordinal
+from .ordinal import ONE, Ordinal, _field_state, _is_natural, _require_natural, format_ordinal, fundamental_seq, parse_ordinal
 
 __all__ = [
     "SUCCESSOR",
@@ -133,6 +133,7 @@ class _OracleMemos:
     __slots__ = ("_fate_memo", "_scale_memo", "_table_memo", "__weakref__")
 
 
+@_field_state
 @dataclass(frozen=True, slots=True)
 class ClusterTree(_OracleMemos):
     """One cluster: center, enclosing ball radius, intended rank, children."""
@@ -160,23 +161,6 @@ class ClusterTree(_OracleMemos):
 
     def centers(self) -> set[Fraction]:
         return {node.center for node in self.iter_nodes()}
-
-
-# The state of a pickle or copy is the fields' dict, as it was before
-# ClusterTree had slots, and never a memo.  Set after the class, because
-# dataclass(slots=True) before Python 3.11 puts its own list-state pair
-# over a frozen class's __getstate__ and __setstate__.
-def _tree_getstate(tree: ClusterTree) -> dict:
-    return {f.name: getattr(tree, f.name) for f in fields(tree)}
-
-
-def _tree_setstate(tree: ClusterTree, state: dict) -> None:
-    for f in fields(tree):
-        object.__setattr__(tree, f.name, state[f.name])
-
-
-ClusterTree.__getstate__ = _tree_getstate
-ClusterTree.__setstate__ = _tree_setstate
 
 
 def _child_path(parent: str, index: int) -> str:
@@ -397,7 +381,7 @@ def materialize(tree: ClusterTree, depth_budget: int, width_budget: int) -> Poin
 
 def materialize_forest(forest: Sequence[ClusterTree], depth_budget: int, width_budget: int) -> PointCloud:
     """Merged cloud of a forest; cluster k is rooted at path /k."""
-    return _cloud(((f"/{k}", tree) for k, tree in enumerate(forest)), depth_budget, width_budget)
+    return _cloud(((_child_path("/", k), tree) for k, tree in enumerate(forest)), depth_budget, width_budget)
 
 
 def validate_tree(

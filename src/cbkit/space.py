@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ordinal import ONE, ZERO, Ordinal, _require, _require_natural, cmp, format_ordinal, left_sub, parse_ordinal
+from .ordinal import ONE, ZERO, Ordinal, _field_state, _require, _require_natural, cmp, format_ordinal, left_sub, parse_ordinal
 
 __all__ = [
     "CbChar",
@@ -36,6 +36,7 @@ class CensusBudgetError(RuntimeError):
     """The requested enumeration does not fit in the configured budget."""
 
 
+@_field_state
 @dataclass(frozen=True)
 class CbChar:
     """Characteristic pair of a compact countable space."""
@@ -62,15 +63,6 @@ class CbChar:
         _set_rank(self, rank)
         _set_count(self, count)
         return self
-
-    # the state of a pickle or copy is the fields' dict, as it was before
-    # CbChar had slots, so stored pickles load and new ones keep their bytes
-    def __getstate__(self) -> dict:
-        return {"rank": self.rank, "count": self.count}
-
-    def __setstate__(self, state: dict) -> None:
-        _set_rank(self, state["rank"])
-        _set_count(self, state["count"])
 
     def __str__(self) -> str:
         return f"({format_ordinal(self.rank)}, {self.count})"

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cbkit import cli
 from cbkit.cli import _build_parser, _config_from_args, main
 from cbkit.oracle import MAX_SCALE_BITS, geometry_check
 from cbkit.ordinal import parse_ordinal
@@ -27,6 +28,7 @@ from cbkit.realize import (
     tree_to_json,
     tree_to_obj,
 )
+from cbkit.space import CensusBudgetError
 from helpers import chain_obj
 
 
@@ -340,6 +342,46 @@ def test_verify_wrong_tail_generator(capsys, tmp_path):
     assert report["ok"] is False
     assert any(f.startswith("structure[0]: tail generator disagrees") for f in report["failures"])
     assert any(f.startswith("pruning: tail generator disagrees") for f in report["failures"])
+
+
+def test_verify_forest_of_one_tree_twice(capsys, tmp_path):
+    # each tree is sound and the audit reads (2, 2), but the file denotes
+    # one cluster, (2, 1)
+    out = tmp_path / "t.json"
+    run(capsys, "realize", "2", "--out", str(out))
+    tree = json.loads(out.read_text())
+    out.write_text(json.dumps([tree, tree]))
+    code, report_text, _ = run(capsys, "verify", str(out))
+    report = json.loads(report_text)
+    assert code == 1
+    assert report["failures"] == ["structure[1]: cluster ball overlaps tree 0"]
+
+
+def test_verify_forest_of_touching_clusters(capsys, tmp_path):
+    # realize_multi puts centers 1 apart with radius 1/2
+    out = tmp_path / "t.json"
+    run(capsys, "realize", "w+1", "-p", "4", "--out", str(out))
+    code, report_text, _ = run(capsys, "verify", str(out))
+    assert code == 0 and json.loads(report_text)["ok"] is True
+
+
+@pytest.mark.parametrize(
+    "centers, failures",
+    [
+        (["0", "1"], []),
+        (["0", "0"], ["structure[1]: cluster ball overlaps tree 0"]),
+        (["0", "9/10"], ["structure[1]: cluster ball overlaps tree 0"]),
+        (["5", "0", "1/2"], ["structure[2]: cluster ball overlaps tree 1"]),
+    ],
+    ids=["touching", "one-center", "overlapping", "unsorted"],
+)
+def test_verify_forest_root_balls_meet_only_on_their_edges(capsys, tmp_path, centers, failures):
+    out = tmp_path / "t.json"
+    out.write_text(json.dumps([
+        {"center": c, "radius": "1/2", "rank": "0", "children": [], "tail": None} for c in centers
+    ]))
+    code, report_text, _ = run(capsys, "verify", str(out))
+    assert (code, json.loads(report_text)["failures"]) == (1 if failures else 0, failures)
 
 
 def test_verify_high_finite_rank(capsys, tmp_path):
@@ -766,6 +808,27 @@ def test_verify_dir_reports_each_budget(capsys, tmp_path):
         "ok": False,
         "failures": [f"budget: {SCALE_BUDGET}"],
     }
+
+
+def test_verify_dir_fails_only_the_file_of_any_domain_error(capsys, tmp_path, monkeypatch):
+    # only the scale budget can run out inside verify; the rule is main's
+    trees = tmp_path / "trees"
+    trees.mkdir()
+    for name in ("a.json", "b.json"):
+        assert run(capsys, "realize", "1", "--out", str(trees / name))[0] == 0
+    verify_file = cli._verify_file
+
+    def budget_on_b(path, cfg, strict):
+        if path.name == "b.json":
+            raise CensusBudgetError("census of 9 classes exceeds cap 1")
+        return verify_file(path, cfg, strict)
+
+    monkeypatch.setattr(cli, "_verify_file", budget_on_b)
+    code, report_text, err = run(capsys, "verify", str(trees))
+    line = "BudgetExceeded: census of 9 classes exceeds cap 1"
+    assert (code, err) == (3, f"cbkit: {trees / 'b.json'}: {line}\n")
+    first, second = json.loads(report_text)
+    assert first["ok"] is True and second["failures"] == [f"budget: {line}"]
 
 
 def test_verify_dir_exits_with_the_worst_code(capsys, tmp_path):

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import contextlib
+import copy
 import io
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,8 @@ from cbkit.ordinal import (
     ZERO,
     Ordinal,
     OrdinalParseError,
+    SubtractionUndefinedError,
+    _field_state,
     add,
     cmp,
     format_ordinal,
@@ -108,6 +112,68 @@ def test_ordinal_operands_refuse_non_ordinals(use, value):
     with pytest.raises(TypeError):
         use[1](value)
     use[1](2)  # a natural number is read as an ordinal
+
+
+# ------------------------------------------------------------------ refusals
+
+# (what is refused, call, error, message)
+REFUSALS = [
+    ("left_sub larger leading exponent", lambda: left_sub(OMEGA, 5), SubtractionUndefinedError, r"^w > 5$"),
+    ("left_sub longer subtrahend", lambda: left_sub(OMEGA + 1, OMEGA), SubtractionUndefinedError, r"^w\+1 > w$"),
+    ("generator_for rank 0", lambda: realize.generator_for(ZERO), ValueError, "rank 0 clusters have no children"),
+    ("TailSpec generator", lambda: TailSpec(0, "other"), ValueError, "unknown generator: 'other'"),
+    ("Cardinality number of aleph0", lambda: Cardinality("aleph0", 3), ValueError, "only finite cardinalities"),
+    ("Cardinality.from_obj no kind", lambda: Cardinality.from_obj({}), ValueError, "needs a 'kind' field"),
+    ("AmbientDescriptor kind", lambda: AmbientDescriptor("huge"), ValueError, "unknown ambient kind: 'huge'"),
+    ("class_count ambient", lambda: space.class_count(None), TypeError, "expected an AmbientDescriptor"),
+    ("char_from_obj non-object", lambda: space.char_from_obj([]), ValueError, "must be a JSON object"),
+    ("char_by_pruning non-tree", lambda: oracle.char_by_pruning([1]), TypeError, "expected cluster trees"),
+    ("Ordinal term not a pair", lambda: Ordinal(((ZERO, 1), 2)), TypeError, r"\(exponent, coefficient\) pairs"),
+    ("parse_ordinal non-text", lambda: parse_ordinal(5), TypeError, "expected a string"),
+]
+
+
+@pytest.mark.parametrize("refusal", REFUSALS, ids=[r[0] for r in REFUSALS])
+def test_refusals(refusal):
+    _, call, error, message = refusal
+    with pytest.raises(error, match=message):
+        call()
+
+
+@given(st_ordinal, st_ordinal)
+def test_left_sub_refuses_exactly_above(b, a):
+    try:
+        g = left_sub(b, a)
+    except SubtractionUndefinedError:
+        assert b > a
+    else:
+        assert b <= a and add(b, g) == a
+
+
+def test_truthiness_is_nonzero():
+    assert (bool(ZERO), bool(ONE), bool(OMEGA)) == (False, True, True)
+
+
+# ---------------------------------------------------------------- pickle state
+
+
+class _Memo:
+    __slots__ = ("_memo",)
+
+
+@_field_state
+@dataclass(frozen=True, slots=True)
+class _Slotted(_Memo):
+    first: int
+    second: tuple = ()
+
+
+def test_field_state_is_every_field_and_no_memo():
+    value = _Slotted(1, (2,))
+    object.__setattr__(value, "_memo", "worked out")
+    assert value.__getstate__() == {"first": 1, "second": (2,)}
+    for twin in (copy.copy(value), copy.deepcopy(value)):
+        assert twin == value and not hasattr(twin, "_memo")
 
 
 # ------------------------------------------------------------------- hashing
@@ -262,3 +328,16 @@ def test_cli_main_fuzz(data):
             except SystemExit as exc:  # argparse: usage errors and --help
                 code = exc.code
     assert code in (0, 1, 2, 3)
+
+
+def test_fs_index_longer_than_int_reads_exits_2(capsys):
+    code = main(["ord", "fs", "w", "9" * 5000])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("cbkit: error: fs index must be a natural number")
+
+
+def test_empty_forest_round_trips(tmp_path):
+    path = tmp_path / "empty.json"
+    realize.dump_forest([], path)
+    assert path.read_bytes() == b"[]\n"
+    assert realize.load_forest(path) == ()
