@@ -244,7 +244,7 @@ def _merge_geometry(reports: list[GeometryReport]) -> dict:
     ).to_obj()
 
 
-def _verify_file(path: Path, cfg: RealizationConfig, strict: bool) -> dict:
+def _verify_file(path: Path, strict: bool) -> dict:
     forest = load_forest(path, strict=strict)
     failures: list[str] = []
 
@@ -283,7 +283,7 @@ def _verify_file(path: Path, cfg: RealizationConfig, strict: bool) -> dict:
             m = len(tree.children)
             for n in range(min(4, m)):
                 for beta in range(4):
-                    if not restriction_check(tree, n, beta, cfg):
+                    if not restriction_check(tree, n, beta):
                         failures.append(f"restriction[{i}]: annulus {n}, stage {beta}")
 
     return _report(path, failures, geometry, char_expected, char_pruned)
@@ -304,10 +304,11 @@ def _report(path: Path, failures: list[str], geometry: dict | None = None,
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     strict = _strict()
-    cfg = _config_from_args(args)
+    # the flags are checked as realize checks them, then ignored
+    _config_from_args(args)
     target = Path(args.target)
     if not target.is_dir():
-        report = _verify_file(target, cfg, strict)
+        report = _verify_file(target, strict)
         _emit(json.dumps(report, indent=2) + "\n", args.report)
         return 0 if report["ok"] else 1
     # an exhausted budget or bad input fails its file only; the others
@@ -319,7 +320,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             if not f.is_file():
                 # a FIFO would block the read until a writer came
                 raise OSError("not a regular file")
-            report = _verify_file(f, cfg, strict)
+            report = _verify_file(f, strict)
             file_code = 0 if report["ok"] else 1
         except _HANDLED as exc:
             file_code, failure = _fail(exc, f"{f}: ")

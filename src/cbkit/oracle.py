@@ -48,15 +48,12 @@ from typing import Iterable
 from .ordinal import ZERO, Ordinal, _is_natural, _require_natural, fundamental_seq
 from .space import CbChar, EMPTY_CLASS, union_char
 from .realize import (
-    DEFAULT_CONFIG,
     SUCCESSOR,
     ClusterTree,
-    RealizationConfig,
     TreeInvariantError,
     _child_path,
     fraction_to_text,
     generator_for,
-    scheduled_radius,
 )
 
 __all__ = [
@@ -444,18 +441,15 @@ def _table(tree: ClusterTree) -> list[tuple[int | None, int, list[int], int, int
     return table
 
 
-def restriction_check(
-    tree: ClusterTree,
-    n: int,
-    beta: int,
-    cfg: RealizationConfig = DEFAULT_CONFIG,
-) -> bool:
+def restriction_check(tree: ClusterTree, n: int, beta: int) -> bool:
     """Pruning commutes with cutting at a separating sphere.
 
     The part of the beta-times-pruned cluster beyond the sphere between
     child shells n and n+1 must equal the union of the beta-times-pruned
     child subtrees 0..n on their own.  The sphere past the last
-    materialized child is placed against the scheduled next shell.
+    materialized child runs along that child's ball edge nearest the
+    center: a realized child's ball takes half the clearance to the
+    next shell, so that edge is the midpoint whatever the schedule.
 
     A pruning error by stage beta of child 0..n, then of the tree, is
     raised.  The nodes left after beta passes are those of life at least
@@ -469,12 +463,10 @@ def restriction_check(
     _require_natural(beta, "beta")
     z = tree.center
     d_n = abs(tree.children[n].center - z)
-    d_next = (
-        abs(tree.children[n + 1].center - z)
-        if n + 1 < m
-        else scheduled_radius(cfg, tree.radius, n + 1)
-    )
-    bound = (d_n + d_next) / 2
+    if n + 1 < m:
+        bound = (d_n + abs(tree.children[n + 1].center - z)) / 2
+    else:
+        bound = d_n - tree.children[n].radius
 
     for child in tree.children[: n + 1]:
         _raise_by(child, beta)

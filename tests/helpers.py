@@ -153,3 +153,13 @@ class FixedDraws:
 
     def draw(self, strategy: st.SearchStrategy, label: str) -> object:
         return self.draws[label]
+
+
+# A rank-1 tree whose one, last child has a ball holding the root's
+# center: validate_tree admits it, and no sphere separates the child from
+# the tail children the rule promises, so the restriction check fails it
+LAST_HOLDS_CENTER = {
+    "center": "0/1", "radius": "1/1", "rank": "1",
+    "children": [{"center": "1/4", "radius": "1/2", "rank": "0", "children": [], "tail": None}],
+    "tail": {"next_index": 1, "generator": "successor"},
+}

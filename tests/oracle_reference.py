@@ -40,13 +40,10 @@ from cbkit.oracle import (
 )
 from cbkit.ordinal import ONE, ZERO, Ordinal, left_sub
 from cbkit.realize import (
-    DEFAULT_CONFIG,
     ClusterTree,
-    RealizationConfig,
     TreeInvariantError,
     child_rank,
     generator_for,
-    scheduled_radius,
 )
 from cbkit.space import EMPTY_CLASS, CbChar
 
@@ -119,12 +116,7 @@ def _surviving_centers(tree: ClusterTree | None) -> set[Fraction]:
     return tree.centers()
 
 
-def restriction_check(
-    tree: ClusterTree,
-    n: int,
-    beta: int,
-    cfg: RealizationConfig = DEFAULT_CONFIG,
-) -> bool:
+def restriction_check(tree: ClusterTree, n: int, beta: int) -> bool:
     m = len(tree.children)
     if not isinstance(n, int) or isinstance(n, bool) or not 0 <= n < m:
         raise AnnulusIndexError(f"annulus index {n} outside 0..{m - 1}")
@@ -132,12 +124,11 @@ def restriction_check(
         raise ValueError("beta must be an integer >= 0")
     z = tree.center
     d_n = abs(tree.children[n].center - z)
-    d_next = (
-        abs(tree.children[n + 1].center - z)
-        if n + 1 < m
-        else scheduled_radius(cfg, tree.radius, n + 1)
-    )
-    bound = (d_n + d_next) / 2
+    if n + 1 < m:
+        bound = (d_n + abs(tree.children[n + 1].center - z)) / 2
+    else:
+        # the last child's ball edge toward the center
+        bound = d_n - tree.children[n].radius
 
     left: set[Fraction] = set()
     for k in range(n + 1):
@@ -147,12 +138,7 @@ def restriction_check(
     return left == right
 
 
-def restriction_check_by_rows(
-    tree: ClusterTree,
-    n: int,
-    beta: int,
-    cfg: RealizationConfig = DEFAULT_CONFIG,
-) -> bool:
+def restriction_check_by_rows(tree: ClusterTree, n: int, beta: int) -> bool:
     """The lifetime reading of restriction_check, scanning every surviving row."""
     m = len(tree.children)
     if not isinstance(n, int) or isinstance(n, bool) or not 0 <= n < m:
@@ -161,12 +147,11 @@ def restriction_check_by_rows(
         raise ValueError("beta must be an integer >= 0")
     z = tree.center
     d_n = abs(tree.children[n].center - z)
-    d_next = (
-        abs(tree.children[n + 1].center - z)
-        if n + 1 < m
-        else scheduled_radius(cfg, tree.radius, n + 1)
-    )
-    bound = (d_n + d_next) / 2
+    if n + 1 < m:
+        bound = (d_n + abs(tree.children[n + 1].center - z)) / 2
+    else:
+        # the last child's ball edge toward the center
+        bound = d_n - tree.children[n].radius
 
     for child in tree.children[: n + 1]:
         _raise_by(child, beta)

@@ -144,7 +144,7 @@ def test_criterion_6_restriction_identity():
             for tree in grid_forest(text, p):
                 for n in range(min(4, len(tree.children))):
                     for beta in range(4):
-                        assert restriction_check(tree, n, beta, DEFAULT_CONFIG), (
+                        assert restriction_check(tree, n, beta), (
                             text,
                             p,
                             n,

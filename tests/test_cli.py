@@ -29,7 +29,7 @@ from cbkit.realize import (
     tree_to_obj,
 )
 from cbkit.space import CensusBudgetError
-from helpers import chain_obj
+from helpers import LAST_HOLDS_CENTER, chain_obj
 
 
 def run(capsys, *argv):
@@ -778,16 +778,33 @@ def test_config_flags_set_the_config_fields():
     assert _config_from_args(args) == RealizationConfig(max_depth=1)
 
 
-def test_verify_thirds_tree_without_schedule_reports_restriction(capsys, tmp_path):
+def test_verify_thirds_tree_passes_under_any_schedule_flag(capsys, tmp_path):
+    # the sphere past the last child is read off the tree, so the
+    # schedule flag is checked and then ignored
     out = tmp_path / "t.json"
     assert run(capsys, "realize", "2", "--schedule", "thirds", "--out", str(out))[0] == 0
-    code, report_text, _ = run(capsys, "verify", str(out))
-    assert code == 1
-    assert json.loads(report_text)["failures"] == [
-        "restriction[0]: annulus 3, stage 0",
-        "restriction[0]: annulus 3, stage 1",
+    results = [
+        run(capsys, "verify", str(out), *flags)
+        for flags in ([], ["--schedule", "binary"], ["--schedule", "thirds"])
     ]
-    assert run(capsys, "verify", str(out), "--schedule", "thirds")[0] == 0
+    assert [code for code, _, _ in results] == [0, 0, 0]
+    assert results[0] == results[1] == results[2]
+    assert json.loads(results[0][1])["failures"] == []
+
+
+def test_verify_fails_a_last_child_whose_ball_holds_the_center(capsys, tmp_path):
+    # the child's ball edge nearest the center falls past it, at -1/4
+    out = tmp_path / "t.json"
+    out.write_text(json.dumps(LAST_HOLDS_CENTER))
+    code, report_text, err = run(capsys, "verify", str(out))
+    report = json.loads(report_text)
+    assert (code, err) == (1, "")
+    assert report["geometry"]["ok"] is True
+    assert report["char_expected"] == report["char_pruned"] == {"rank": "1", "count": 1}
+    assert report["failures"] == [
+        "restriction[0]: annulus 0, stage 0",
+        "restriction[0]: annulus 0, stage 1",
+    ]
 
 
 def test_verify_dir_reports_each_budget(capsys, tmp_path):
@@ -818,10 +835,10 @@ def test_verify_dir_fails_only_the_file_of_any_domain_error(capsys, tmp_path, mo
         assert run(capsys, "realize", "1", "--out", str(trees / name))[0] == 0
     verify_file = cli._verify_file
 
-    def budget_on_b(path, cfg, strict):
+    def budget_on_b(path, strict):
         if path.name == "b.json":
             raise CensusBudgetError("census of 9 classes exceeds cap 1")
-        return verify_file(path, cfg, strict)
+        return verify_file(path, strict)
 
     monkeypatch.setattr(cli, "_verify_file", budget_on_b)
     code, report_text, err = run(capsys, "verify", str(trees))

@@ -12,7 +12,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 from cbkit import oracle
 from cbkit.ordinal import OMEGA, ONE, ZERO, Ordinal, parse_ordinal
@@ -20,10 +20,12 @@ from cbkit.realize import (
     DEFAULT_CONFIG,
     ClusterTree,
     RealizationConfig,
+    SCHEDULE_BASES,
     TailSpec,
     TreeInvariantError,
     realize_cluster,
     realize_multi,
+    scheduled_radius,
     tree_to_obj,
     validate_tree,
 )
@@ -363,6 +365,29 @@ def test_restriction_full_grid_small():
         for n in range(len(t.children)):
             for beta in range(4):
                 assert restriction_check(t, n, beta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    children=st.integers(2, 7),
+    schedule=st.sampled_from(tuple(SCHEDULE_BASES)),
+    side=st.sampled_from(("right", "left")),
+    rank=st.sampled_from(("1", "3", "w", "w+2", "w*2", "w^(2)")),
+    offset=st.fractions(-4, 4, max_denominator=7),
+)
+def test_ball_inner_edges_are_the_schedule_midpoints(children, schedule, side, rank, offset):
+    # restriction_check places the sphere past the last child at that
+    # child's ball edge nearest the center, where the schedule puts the midpoint
+    cfg = RealizationConfig(children, schedule, side, 2)
+    tree = realize_cluster(offset, F(1, 2), P(rank), cfg)
+    for node in tree.iter_nodes():
+        z, kids = node.center, node.children
+        dist = [abs(c.center - z) for c in kids]
+        for i, c in enumerate(kids[:-1]):
+            assert dist[i] - c.radius == (dist[i] + dist[i + 1]) / 2
+        if kids:
+            nxt = scheduled_radius(cfg, node.radius, len(kids))
+            assert dist[-1] - kids[-1].radius == (dist[-1] + nxt) / 2
 
 
 def test_restriction_builds_no_stage_tree(monkeypatch):

@@ -81,8 +81,8 @@ def test_oracles_match_reference(cfg, rank, offset, kinds, data):
     m = len(tree.children)
     for n in [*range(min(m, 4)), m]:
         for beta in range(4):
-            assert outcome(restriction_check, tree, n, beta, cfg) == outcome(
-                reference.restriction_check, tree, n, beta, cfg
+            assert outcome(restriction_check, tree, n, beta) == outcome(
+                reference.restriction_check, tree, n, beta
             ), (n, beta)
 
 
@@ -159,8 +159,8 @@ def test_pruning_matches_probe_reference(cfg, rank, kinds, data):
     m = len(tree.children)
     for n in sorted({*range(min(m, 4)), m}):
         for beta in range(5):
-            assert outcome(restriction_check, tree, n, beta, cfg) == outcome(
-                reference.restriction_check, tree, n, beta, cfg
+            assert outcome(restriction_check, tree, n, beta) == outcome(
+                reference.restriction_check, tree, n, beta
             ), (n, beta)
 
 
@@ -388,8 +388,8 @@ def test_restriction_check_matches_row_scan(cfg, rank, offset, kinds, data):
         tree = mutate(tree, kind, data) if kind in MUTATIONS else change_tail(tree, kind, cfg, data)
     n = data.draw(st.integers(0, len(tree.children)), label="n")
     beta = data.draw(st.integers(0, 6), label="beta")
-    assert outcome(restriction_check, tree, n, beta, cfg) == outcome(
-        reference.restriction_check_by_rows, tree, n, beta, cfg
+    assert outcome(restriction_check, tree, n, beta) == outcome(
+        reference.restriction_check_by_rows, tree, n, beta
     )
 
 
