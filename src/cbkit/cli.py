@@ -233,17 +233,6 @@ def _cmd_realize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _merge_geometry(reports: list[GeometryReport]) -> dict:
-    return GeometryReport(
-        ok=all(r.ok for r in reports),
-        annuli=sum(r.annuli for r in reports),
-        claim1_ok=all(r.claim1_ok for r in reports),
-        claim2_ok=all(r.claim2_ok for r in reports),
-        claim3_ok=all(r.claim3_ok for r in reports),
-        counterexample=next((r.counterexample for r in reports if r.counterexample is not None), None),
-    ).to_obj()
-
-
 def _verify_file(path: Path, strict: bool) -> dict:
     forest = load_forest(path, strict=strict)
     failures: list[str] = []
@@ -266,8 +255,8 @@ def _verify_file(path: Path, strict: bool) -> dict:
     except AuditError as exc:
         failures.append(f"audit: {exc}")
 
-    geometry = _merge_geometry([geometry_check(t) for t in forest])
-    if not geometry["ok"]:
+    geometry = geometry_check(forest)
+    if not geometry.ok:
         failures.append("geometry: separation claims violated")
 
     char_pruned = None
@@ -289,12 +278,12 @@ def _verify_file(path: Path, strict: bool) -> dict:
     return _report(path, failures, geometry, char_expected, char_pruned)
 
 
-def _report(path: Path, failures: list[str], geometry: dict | None = None,
+def _report(path: Path, failures: list[str], geometry: GeometryReport | None = None,
             char_expected: CbChar | None = None, char_pruned: CbChar | None = None) -> dict:
     """A verify report; a file no oracle could finish has only its failure."""
     return {
         "tree": str(path),
-        "geometry": geometry,
+        "geometry": None if geometry is None else geometry.to_obj(),
         "char_expected": None if char_expected is None else char_to_obj(char_expected),
         "char_pruned": None if char_pruned is None else char_to_obj(char_pruned),
         "ok": not failures,
@@ -347,7 +336,7 @@ def _cmd_classcount(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_config_flags(sub: argparse.ArgumentParser) -> None:
+def _add_config_flags(sub: argparse._ActionsContainer) -> None:
     sub.add_argument("--config", help="key = value realization config file")
     # dest is the RealizationConfig field each flag sets
     sub.add_argument(
@@ -401,7 +390,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = subs.add_parser("verify", help="audit tree files against all oracles")
     p_verify.add_argument("target", help="tree JSON file, or directory of them")
     p_verify.add_argument("--report", help="report JSON path (stdout when omitted)")
-    _add_config_flags(p_verify)
+    _add_config_flags(p_verify.add_argument_group(
+        "realization flags",
+        "checked as realize checks them, then ignored: verify reads every tree as the file gives it",
+    ))
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_census = subs.add_parser("census", help="enumerate classes under bounds")

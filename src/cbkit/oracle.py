@@ -304,7 +304,7 @@ def _scaled(q: Fraction, scale: int) -> int:
     return q.numerator * (scale // q.denominator)
 
 
-def geometry_check(tree: ClusterTree) -> GeometryReport:
+def geometry_check(tree: ClusterTree | Iterable[ClusterTree]) -> GeometryReport:
     """Check the separating spheres between consecutive child shells.
 
     For each node and each pair of consecutive materialized children the
@@ -312,15 +312,17 @@ def geometry_check(tree: ClusterTree) -> GeometryReport:
     outside it, inner children and later ones entirely inside, and no
     point of the whole cluster on the sphere itself.
 
-    Violations are ordered by node in post-order, then annulus, then
-    claim; the first one is the reported counterexample.  Coordinates
-    are centers scaled by twice their common denominator, so every
-    midpoint bound is an integer as well.  The walk recurses once per
-    level, and a loaded tree is at most MAX_TREE_DEPTH levels deep.
+    A forest is checked tree by tree into one report: annuli add up and a
+    claim holds when it holds in every tree.  Violations are ordered by
+    tree first, then by node in post-order, then annulus, then claim; the
+    first one is the reported counterexample.  Coordinates are a tree's
+    centers scaled by twice their common denominator, so every midpoint
+    bound is an integer as well.  The walk recurses once per level, and a
+    loaded tree is at most MAX_TREE_DEPTH levels deep.
     """
-    scale = 2 * _scale(tree)
     tally = _Tally()
-    _check_annuli(tree, "/", scale, [], {}, tally)
+    for t in _as_forest(tree):
+        _check_annuli(t, "/", 2 * _scale(t), [], {}, tally)
     return GeometryReport(
         ok=tally.first is None,
         annuli=tally.annuli,

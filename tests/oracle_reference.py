@@ -14,6 +14,10 @@ once ran per case: both sides of the comparison rebuilt as sets from
 every surviving node's scaled center.  The fast oracle reads per-child
 distance bounds first and builds a set only when they cannot decide.
 
+`merge_geometry` builds a forest's geometry report from its trees'
+reports, field by field; `cbkit.oracle.geometry_check` walks the whole
+forest into one tally instead.
+
 `prune`, `prune_trace` and `char_by_pruning` are the probe-based
 reading of one derivative: each node regenerates its first tail child
 and asks whether that child has rank zero, and every stage is a tree of
@@ -107,6 +111,18 @@ def geometry_check(tree: ClusterTree) -> GeometryReport:
         claim2_ok=claim_ok[2],
         claim3_ok=claim_ok[3],
         counterexample=violations[0] if violations else None,
+    )
+
+
+def merge_geometry(reports: list[GeometryReport]) -> GeometryReport:
+    """One forest's report from its trees' reports, taken in tree order."""
+    return GeometryReport(
+        ok=all(r.ok for r in reports),
+        annuli=sum(r.annuli for r in reports),
+        claim1_ok=all(r.claim1_ok for r in reports),
+        claim2_ok=all(r.claim2_ok for r in reports),
+        claim3_ok=all(r.claim3_ok for r in reports),
+        counterexample=next((r.counterexample for r in reports if r.counterexample is not None), None),
     )
 
 

@@ -47,7 +47,7 @@ from cbkit.oracle import (
     prune_trace,
     restriction_check,
 )
-from helpers import st_ordinal
+from helpers import replace_at, st_ordinal
 
 P = parse_ordinal
 F = Fraction
@@ -57,16 +57,6 @@ def C(rank, count: int) -> CbChar:
     if isinstance(rank, int):
         rank = Ordinal.from_int(rank)
     return CbChar(rank, count)
-
-
-def replace_node(tree: ClusterTree, path: tuple[int, ...], **changes) -> ClusterTree:
-    """Rebuild a tree with one descendant swapped out."""
-    if not path:
-        return replace(tree, **changes)
-    i, rest = path[0], path[1:]
-    kids = list(tree.children)
-    kids[i] = replace_node(kids[i], rest, **changes)
-    return replace(tree, children=tuple(kids))
 
 
 # -------------------------------------------------------------------- pruning
@@ -293,7 +283,7 @@ def test_geometry_claim3_point_on_sphere():
     # plant a grandchild exactly on the first separating sphere
     t = realize_cluster(0, 1, Ordinal.from_int(2))
     bound = (F(1, 2) + F(1, 4)) / 2
-    bad = replace_node(t, (0, 0), center=bound)
+    bad = replace_at(t, (0, 0), center=bound)
     report = geometry_check(bad)
     assert not report.ok and not report.claim3_ok
     assert report.counterexample.claim == 3
@@ -305,7 +295,7 @@ def test_geometry_claim3_point_on_sphere():
 def test_geometry_claim1_inner_intruder():
     # child 1 pulled inside the sphere separating it from child 2
     t = realize_cluster(0, 1, ONE)
-    bad = replace_node(t, (1,), center=F(1, 20))
+    bad = replace_at(t, (1,), center=F(1, 20))
     report = geometry_check(bad)
     assert not report.claim1_ok
     assert report.counterexample.claim == 1
@@ -316,7 +306,7 @@ def test_geometry_claim1_inner_intruder():
 def test_geometry_claim2_outer_escape():
     # child 2 pushed past the sphere separating children 0 and 1
     t = realize_cluster(0, 1, ONE)
-    bad = replace_node(t, (2,), center=F(2, 5))  # 2/5 >= 3/8
+    bad = replace_at(t, (2,), center=F(2, 5))  # 2/5 >= 3/8
     report = geometry_check(bad)
     assert not report.claim2_ok
     assert report.counterexample.claim == 2
@@ -329,7 +319,7 @@ def test_geometry_report_serialization():
     obj = report.to_obj()
     assert obj["ok"] is True and obj["counterexample"] is None
     t = realize_cluster(0, 1, Ordinal.from_int(2))
-    bad = replace_node(t, (0, 0), center=F(3, 8))
+    bad = replace_at(t, (0, 0), center=F(3, 8))
     obj = geometry_check(bad).to_obj()
     assert obj["counterexample"]["point"] == "3/8"
 
@@ -339,7 +329,7 @@ def test_geometry_report_key_order():
     t = realize_cluster(0, 1, ONE)
     keys = ["ok", "annuli", "claim1_ok", "claim2_ok", "claim3_ok", "counterexample"]
     assert list(geometry_check(t).to_obj()) == keys
-    report = geometry_check(replace_node(t, (2,), center=F(2, 5)))
+    report = geometry_check(replace_at(t, (2,), center=F(2, 5)))
     assert list(report.to_obj()) == keys
     obj = report.counterexample.to_obj()
     assert list(obj) == ["path", "annulus", "claim", "point", "bound"]
@@ -416,7 +406,7 @@ def test_restriction_index_errors():
 def test_restriction_detects_misplaced_point():
     # a subtree point pushed beyond its annulus breaks the identity
     t = realize_cluster(0, 1, Ordinal.from_int(2))
-    bad = replace_node(t, (1, 0), center=F(2, 5))
+    bad = replace_at(t, (1, 0), center=F(2, 5))
     assert not restriction_check(bad, 0, 0)
 
 
@@ -437,7 +427,7 @@ def test_audit_char_forest():
 
 def test_audit_rejects_tampered_rank():
     t = realize_cluster(0, 1, Ordinal.from_int(2))
-    bad = replace_node(t, (1,), rank=Ordinal.from_int(2), tail=TailSpec(4, "successor"))
+    bad = replace_at(t, (1,), rank=Ordinal.from_int(2), tail=TailSpec(4, "successor"))
     with pytest.raises(AuditError):
         audit_rank(bad)
 
@@ -525,12 +515,12 @@ def test_audit_rejects_positive_rank_without_tail():
 
 
 def test_audit_coherence_rejects_successor_child_rank():
-    bad = replace_node(realize_cluster(0, 1, Ordinal.from_int(3)), (0,), rank=ONE)
+    bad = replace_at(realize_cluster(0, 1, Ordinal.from_int(3)), (0,), rank=ONE)
     with pytest.raises(AuditError, match=r"^successor child rank 1 at /0$"):
         audit_rank(bad, exact=False)
 
 
 def test_audit_coherence_rejects_limit_child_not_below():
-    bad = replace_node(realize_cluster(0, 1, OMEGA), (0,), rank=OMEGA)
+    bad = replace_at(realize_cluster(0, 1, OMEGA), (0,), rank=OMEGA)
     with pytest.raises(AuditError, match=r"^limit child rank w not below parent at /0$"):
         audit_rank(bad, exact=False)

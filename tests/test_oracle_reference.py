@@ -6,6 +6,7 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -84,6 +85,42 @@ def test_oracles_match_reference(cfg, rank, offset, kinds, data):
             assert outcome(restriction_check, tree, n, beta) == outcome(
                 reference.restriction_check, tree, n, beta
             ), (n, beta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cfg=st_config,
+    ranks=st.lists(st.sampled_from(RANKS), max_size=3),
+    offsets=st.lists(st.integers(-3, 3), min_size=3, max_size=3, unique=True),
+    kinds=st.lists(st.sampled_from((None, *MUTATIONS)), min_size=3, max_size=3),
+    data=st.data(),
+)
+@example(
+    # both trees break a claim, so only the first tree's counterexample is right
+    cfg=RealizationConfig(),
+    ranks=["2", "2"],
+    offsets=[0, 1, 2],
+    kinds=["negated", "negated", None],
+    data=FixedDraws(node=3, at=0),
+)
+def test_forest_geometry_merges_its_trees(cfg, ranks, offsets, kinds, data):
+    forest = [
+        realize_cluster(Fraction(offset), Fraction(1, 2), parse_ordinal(rank), cfg)
+        for rank, offset in zip(ranks, offsets)
+    ]
+    forest = [t if kind is None else mutate(t, kind, data) for t, kind in zip(forest, kinds)]
+
+    report = geometry_check(forest)
+    merged = reference.merge_geometry([geometry_check(t) for t in forest])
+    assert report == merged
+    assert report.to_obj() == merged.to_obj()
+    for t in forest:
+        assert geometry_check(t) == geometry_check([t])
+
+    at = data.draw(st.integers(0, len(forest)), label="at")
+    with pytest.raises(TypeError) as info:
+        geometry_check([*forest[:at], "not a tree", *forest[at:]])
+    assert str(info.value) == "expected cluster trees"
 
 
 PRUNE_RANKS = RANKS + ("4", "w+2", "w^(w)+1", "w^(w+1)", "w^(w^(2))")

@@ -40,6 +40,9 @@ MANIFEST = Path(__file__).with_name("output_bytes.json")
 
 GRID_RANKS = ("0", "1", "2", "w", "w+1", "w*2")
 
+# a 2,200-digit natural: its square has more digits than Python prints
+LONG = "1" + "0" * 2199
+
 
 def _realized(rank: str) -> dict:
     return tree_to_obj(realize_multi(parse_ordinal(rank), 1)[0])
@@ -79,6 +82,14 @@ def _bad_files() -> dict[str, str]:
     }
 
 
+def _forest_files() -> dict[str, str]:
+    """Forests whose geometry verdict hangs on a tree after the first."""
+    second = [tree_to_obj(t) for t in realize_multi(parse_ordinal("2"), 2)]
+    second[1]["children"][0]["children"][0]["center"] = "19/16"  # onto tree 1's root sphere
+    twice = _realized("w+1")
+    return {"sphere-second.json": json.dumps(second), "twice.json": json.dumps([twice, twice])}
+
+
 def _runs() -> list[tuple[list[str], tuple[str, ...]]]:
     """(argv, files the run writes), in the order the runs go."""
     runs: list[tuple[list[str], tuple[str, ...]]] = []
@@ -96,6 +107,8 @@ def _runs() -> list[tuple[list[str], tuple[str, ...]]]:
                 runs.append((["verify", tree, *again], ()))
     for name in _bad_files():
         runs.append((["verify", f"bad/{name}"], ()))
+    for name in _forest_files():
+        runs.append((["verify", f"forest/{name}"], ()))
     runs.append((["verify", "bad"], ()))
     runs.append((["verify", "last-holds-center.json"], ()))
     runs += [
@@ -107,6 +120,12 @@ def _runs() -> list[tuple[list[str], tuple[str, ...]]]:
         (["verify", "absent.json"], ()),
         (["realize", "w^(w^(w))", "-m", "12", "--depth", "6", "--out", "budget.json"], ("budget.json",)),
         (["ord", "sub", "w*2", "w"], ()),
+        (["census", "2", "2"], ()),
+        (["census", "w", "2", "--max-ranks", "3"], ()),
+        (["classcount", "finite", "4"], ()),
+        (["classcount", "uncountable"], ()),
+        (["classcount", "countable", "5"], ()),
+        (["ord", "mul", LONG, LONG], ()),
     ]
     return runs
 
@@ -136,10 +155,12 @@ def _run(argv: list[str], writes: tuple[str, ...]) -> tuple[int, str, bool]:
 
 def replay(root: Path) -> dict[str, tuple[int, str, bool]]:
     """Every run, by its command line: exit code, digest, ended by argparse."""
-    for d in ("grid", "schedule", "bad"):
+    for d in ("grid", "schedule", "bad", "forest"):
         (root / d).mkdir()
     for name, text in _bad_files().items():
         (root / "bad" / name).write_text(text)
+    for name, text in _forest_files().items():
+        (root / "forest" / name).write_text(text)
     (root / "last-holds-center.json").write_text(json.dumps(LAST_HOLDS_CENTER))
     cwd = os.getcwd()
     # a fixed help width, and no strict parsing
