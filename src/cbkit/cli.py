@@ -15,11 +15,9 @@ for its length, and is what in-process callers use.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import gc
 import json
 import os
-import stat
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -60,6 +58,7 @@ from .realize import (
     _SIDE_SIGNS,
     _check_budgets,
     _check_node_budget,
+    _outputs,
     _read_json,
     _write_forest,
     load_forest,
@@ -107,13 +106,6 @@ def _compact(obj: object) -> str:
         return json.dumps(obj, separators=(",", ":"))
     except ValueError:  # an int longer than Python converts to text
         raise PrintBudgetError() from None
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
 
 
 def _strict() -> bool:
@@ -168,46 +160,6 @@ def _config_from_args(args: argparse.Namespace) -> RealizationConfig:
     cfg = parse_config_file(args.config) if args.config else DEFAULT_CONFIG
     given = {f.name: getattr(args, f.name) for f in fields(RealizationConfig)}
     return replace(cfg, **{k: v for k, v in given.items() if v is not None})
-
-
-def _open_untruncated(path: str, flags: int) -> int:
-    return os.open(path, flags & ~os.O_TRUNC, 0o666)
-
-
-@contextlib.contextmanager
-def _outputs(*paths: str | None):
-    """Open every given path for writing, all before the first byte is written.
-
-    Yields one file per path, None where the path is None.  Two paths
-    that open the same file, through an alias or a link, are refused.  An
-    existing regular file is truncated only once every path is open and
-    found distinct, so a refusal or a failed open leaves it as it was.  If
-    that or the run fails, the files this call created are removed again.
-    """
-    # a new file is made where a path resolves, past a dangling link
-    created = [os.path.realpath(path) for path in paths if path is not None and not os.path.exists(path)]
-    with contextlib.ExitStack() as stack:
-        try:
-            files = [
-                None if path is None
-                else stack.enter_context(open(path, "w", encoding="ascii", opener=_open_untruncated))
-                for path in paths
-            ]
-            opened = [f for f in files if f is not None]
-            stats = [os.fstat(f.fileno()) for f in opened]
-            if any(os.path.samestat(a, b) for i, a in enumerate(stats) for b in stats[:i]):
-                raise ValueError("tree and point outputs must be distinct paths")
-            for f, info in zip(opened, stats):
-                # devices such as /dev/null refuse a truncate
-                if stat.S_ISREG(info.st_mode):
-                    f.truncate()
-            yield files
-        except BaseException:
-            stack.close()
-            for path in created:
-                with contextlib.suppress(OSError):
-                    os.remove(path)
-            raise
 
 
 def _cmd_realize(args: argparse.Namespace) -> int:
@@ -297,26 +249,27 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     _config_from_args(args)
     target = Path(args.target)
     if not target.is_dir():
-        report = _verify_file(target, strict)
-        _emit(json.dumps(report, indent=2) + "\n", args.report)
-        return 0 if report["ok"] else 1
-    # an exhausted budget or bad input fails its file only; the others
-    # still report, and the exit code is the worst over the files
-    reports = []
-    code = 0
-    for f in sorted(target.glob("*.json")):
-        try:
-            if not f.is_file():
-                # a FIFO would block the read until a writer came
-                raise OSError("not a regular file")
-            report = _verify_file(f, strict)
-            file_code = 0 if report["ok"] else 1
-        except _HANDLED as exc:
-            file_code, failure = _fail(exc, f"{f}: ")
-            report = _report(f, [failure])
-        reports.append(report)
-        code = max(code, file_code)
-    _emit(json.dumps(reports, indent=2) + "\n", args.report)
+        payload = _verify_file(target, strict)
+        code = 0 if payload["ok"] else 1
+    else:
+        # an exhausted budget or bad input fails its file only; the others
+        # still report, and the exit code is the worst over the files
+        payload, code = [], 0
+        for f in sorted(target.glob("*.json")):
+            try:
+                if not f.is_file():
+                    # a FIFO would block the read until a writer came
+                    raise OSError("not a regular file")
+                report = _verify_file(f, strict)
+                file_code = 0 if report["ok"] else 1
+            except _HANDLED as exc:
+                file_code, failure = _fail(exc, f"{f}: ")
+                report = _report(f, [failure])
+            payload.append(report)
+            code = max(code, file_code)
+    # opened only now, so a report that names the target is read first
+    with _outputs(args.report) as (report_file,):
+        (sys.stdout if report_file is None else report_file).write(json.dumps(payload, indent=2) + "\n")
     return code
 
 

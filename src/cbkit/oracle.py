@@ -105,6 +105,14 @@ def _as_forest(trees: ClusterTree | Iterable[ClusterTree]) -> tuple[ClusterTree,
     return forest
 
 
+def _rooted(trees: ClusterTree | Iterable[ClusterTree]) -> list[tuple[str, ClusterTree]]:
+    """Each tree with the path of its root: / alone, /k as tree k of several."""
+    forest = _as_forest(trees)
+    if len(forest) == 1:
+        return [("/", forest[0])]
+    return [(_child_path("/", k), t) for k, t in enumerate(forest)]
+
+
 # Writers of the per-tree memo slots, which the frozen __setattr__ refuses.
 _set_fate = ClusterTree._fate_memo.__set__
 _set_scale = ClusterTree._scale_memo.__set__
@@ -315,14 +323,16 @@ def geometry_check(tree: ClusterTree | Iterable[ClusterTree]) -> GeometryReport:
     A forest is checked tree by tree into one report: annuli add up and a
     claim holds when it holds in every tree.  Violations are ordered by
     tree first, then by node in post-order, then annulus, then claim; the
-    first one is the reported counterexample.  Coordinates are a tree's
+    first one is the reported counterexample.  Its path starts at /k, the
+    root of tree k as materialize_forest names it, when the forest has
+    several trees, and at / when it has one.  Coordinates are a tree's
     centers scaled by twice their common denominator, so every midpoint
     bound is an integer as well.  The walk recurses once per level, and a
     loaded tree is at most MAX_TREE_DEPTH levels deep.
     """
     tally = _Tally()
-    for t in _as_forest(tree):
-        _check_annuli(t, "/", 2 * _scale(t), [], {}, tally)
+    for root, t in _rooted(tree):
+        _check_annuli(t, root, 2 * _scale(t), [], {}, tally)
     return GeometryReport(
         ok=tally.first is None,
         annuli=tally.annuli,
@@ -547,8 +557,9 @@ def _audit(node: ClusterTree, path: str, exact: bool, limit_ranks: dict[tuple[Or
 
 
 def audit_char(forest: ClusterTree | Iterable[ClusterTree], exact: bool = True) -> CbChar:
-    """Characteristic of a disjoint union read from the annotations."""
+    """Characteristic of a disjoint union read from the annotations; paths as in geometry_check."""
     total = EMPTY_CLASS
-    for t in _as_forest(forest):
-        total = union_char(total, CbChar(audit_rank(t, exact), 1))
+    for root, t in _rooted(forest):
+        _audit(t, root, exact, {})
+        total = union_char(total, CbChar(t.rank, 1))
     return total

@@ -18,8 +18,11 @@ boundary comparisons are decided, never approximated.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
+import os
+import stat
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -575,6 +578,46 @@ def _load(
     return ClusterTree(center, radius, rank, tuple(children), tail)
 
 
+def _open_untruncated(path: str, flags: int) -> int:
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+@contextlib.contextmanager
+def _outputs(*paths: str | Path | None):
+    """Open every given path for writing, all before the first byte is written.
+
+    Yields one file per path, None where the path is None.  Two paths
+    that open the same file, through an alias or a link, are refused.  An
+    existing regular file is truncated only once every path is open and
+    found distinct, so a refusal or a failed open leaves it as it was.  If
+    that or the run fails, the files this call created are removed again.
+    """
+    # a new file is made where a path resolves, past a dangling link
+    created = [os.path.realpath(path) for path in paths if path is not None and not os.path.exists(path)]
+    with contextlib.ExitStack() as stack:
+        try:
+            files = [
+                None if path is None
+                else stack.enter_context(open(path, "w", encoding="ascii", opener=_open_untruncated))
+                for path in paths
+            ]
+            opened = [f for f in files if f is not None]
+            stats = [os.fstat(f.fileno()) for f in opened]
+            if any(os.path.samestat(a, b) for i, a in enumerate(stats) for b in stats[:i]):
+                raise ValueError("tree and point outputs must be distinct paths")
+            for f, info in zip(opened, stats):
+                # devices such as /dev/null refuse a truncate
+                if stat.S_ISREG(info.st_mode):
+                    f.truncate()
+            yield files
+        except BaseException:
+            stack.close()
+            for path in created:
+                with contextlib.suppress(OSError):
+                    os.remove(path)
+            raise
+
+
 def _write_forest(objs: Sequence[dict], write: Callable[[str], object]) -> None:
     """Write tree objects as JSON: one tree as a single object, several as an array.
 
@@ -649,7 +692,7 @@ def tree_from_json(text: str, strict: bool = False) -> ClusterTree:
 def dump_forest(forest: Sequence[ClusterTree], path: str | Path) -> None:
     """Write one tree as a single object, several as an array."""
     objs = [tree_to_obj(tree) for tree in forest]
-    with Path(path).open("w", encoding="ascii") as f:
+    with _outputs(path) as (f,):
         _write_forest(objs, f.write)
 
 

@@ -16,6 +16,13 @@ from cbkit.space import CbChar, derivative_steps
 import ordinal_reference
 
 
+def C(rank: Ordinal | int, count: int) -> CbChar:
+    """The pair (rank, count); an int rank is that finite ordinal."""
+    if isinstance(rank, int):
+        rank = Ordinal.from_int(rank)
+    return CbChar(rank, count)
+
+
 def cnf_from_pairs(pairs: dict[int, int]) -> Ordinal:
     """Ordinal below w^w from {finite exponent: coefficient}."""
     terms = tuple(

@@ -15,8 +15,9 @@ every surviving node's scaled center.  The fast oracle reads per-child
 distance bounds first and builds a set only when they cannot decide.
 
 `merge_geometry` builds a forest's geometry report from its trees'
-reports, field by field; `cbkit.oracle.geometry_check` walks the whole
-forest into one tally instead.
+reports, field by field, and re-roots the counterexample at its tree's
+index; `cbkit.oracle.geometry_check` walks the whole forest into one
+tally instead.
 
 `prune`, `prune_trace` and `char_by_pruning` are the probe-based
 reading of one derivative: each node regenerates its first tail child
@@ -28,6 +29,7 @@ These copies keep no memo on the trees.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from math import ceil
 
@@ -115,14 +117,25 @@ def geometry_check(tree: ClusterTree) -> GeometryReport:
 
 
 def merge_geometry(reports: list[GeometryReport]) -> GeometryReport:
-    """One forest's report from its trees' reports, taken in tree order."""
+    """One forest's report from its trees' reports, taken in tree order.
+
+    In a forest of several trees the counterexample's path is re-rooted
+    at /k, tree k's root; a lone tree's report is its own.
+    """
+    first = next(((k, r.counterexample) for k, r in enumerate(reports) if r.counterexample is not None), None)
+    counterexample = None
+    if first is not None:
+        k, counterexample = first
+        if len(reports) > 1:
+            path = f"/{k}" + ("" if counterexample.path == "/" else counterexample.path)
+            counterexample = replace(counterexample, path=path)
     return GeometryReport(
         ok=all(r.ok for r in reports),
         annuli=sum(r.annuli for r in reports),
         claim1_ok=all(r.claim1_ok for r in reports),
         claim2_ok=all(r.claim2_ok for r in reports),
         claim3_ok=all(r.claim3_ok for r in reports),
-        counterexample=next((r.counterexample for r in reports if r.counterexample is not None), None),
+        counterexample=counterexample,
     )
 
 

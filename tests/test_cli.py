@@ -326,7 +326,9 @@ def test_verify_forest_reports_first_counterexample(capsys, tmp_path):
     assert code == 1
     assert all(not r.ok for r in reports)
     assert geometry["annuli"] == sum(r.annuli for r in reports)
-    assert geometry["counterexample"] == reports[0].counterexample.to_obj()
+    # tree 0's counterexample, its path rooted at /0
+    assert reports[0].counterexample.path == "/"
+    assert geometry["counterexample"] == {**reports[0].counterexample.to_obj(), "path": "/0"}
     assert geometry["counterexample"]["point"] == "3/16"
 
 
@@ -525,6 +527,25 @@ def test_verify_report_file(capsys, tmp_path):
     code, stdout, _ = run(capsys, "verify", str(out), "--report", str(report_path))
     assert code == 0 and stdout == ""
     assert json.loads(report_path.read_text())["ok"] is True
+
+
+def test_verify_report_opens_as_realize_outputs_do(capsys, tmp_path):
+    out = tmp_path / "t.json"
+    run(capsys, "realize", "1", "--out", str(out))
+    _, printed, _ = run(capsys, "verify", str(out))
+    # a device takes the report without a truncate
+    assert run(capsys, "verify", str(out), "--report", "/dev/null") == (0, "", "")
+    # a missing directory ends the run after the checks, and creates nothing
+    code, stdout, err = run(capsys, "verify", str(out), "--report", str(tmp_path / "nodir" / "r.json"))
+    assert (code, stdout) == (2, "") and err.startswith("cbkit: error: [Errno 2] No such file or directory")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.json", "t.json.points.csv"]
+    # a longer file is replaced whole, and the target is read before its report replaces it
+    old = tmp_path / "old.json"
+    old.write_text("x" * 100_000)
+    assert run(capsys, "verify", str(out), "--report", str(old)) == (0, "", "")
+    assert old.read_text() == printed
+    assert run(capsys, "verify", str(out), "--report", str(out)) == (0, "", "")
+    assert out.read_text() == printed
 
 
 def test_verify_strict_env(capsys, tmp_path, monkeypatch):

@@ -47,16 +47,10 @@ from cbkit.oracle import (
     prune_trace,
     restriction_check,
 )
-from helpers import replace_at, st_ordinal
+from helpers import C, replace_at, st_ordinal
 
 P = parse_ordinal
 F = Fraction
-
-
-def C(rank, count: int) -> CbChar:
-    if isinstance(rank, int):
-        rank = Ordinal.from_int(rank)
-    return CbChar(rank, count)
 
 
 # -------------------------------------------------------------------- pruning
@@ -290,6 +284,24 @@ def test_geometry_claim3_point_on_sphere():
     assert report.counterexample.point == bound
     assert report.counterexample.bound == bound
     assert report.counterexample.path == "/"
+
+
+def test_forest_failures_name_their_tree():
+    # in a forest of several trees, tree k's root is /k; a lone tree's is /
+    two = realize_multi(Ordinal.from_int(2), 2)
+    sphere = two[1].center + F(3, 16)  # between tree 1's first two children
+    forest = [two[0], replace_at(two[1], (0, 0), center=sphere)]
+    report = geometry_check(forest)
+    assert (report.counterexample.path, report.counterexample.point) == ("/1", sphere)
+    lone = geometry_check(forest[1])
+    assert lone == geometry_check([forest[1]])
+    assert lone.counterexample == replace(report.counterexample, path="/")
+
+    tampered = [two[0], replace_at(two[1], (0,), rank=Ordinal.from_int(3))]
+    with pytest.raises(AuditError, match="^child rank 3 != 1 at /1/0$"):
+        audit_char(tampered)
+    with pytest.raises(AuditError, match="^child rank 3 != 1 at /0$"):
+        audit_char(tampered[1])
 
 
 def test_geometry_claim1_inner_intruder():

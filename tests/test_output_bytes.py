@@ -3,7 +3,8 @@
 Every run below goes through `cbkit.cli.main`, in order, inside one
 empty directory and with relative paths, so a report names the same
 files on every machine.  A run's digest is the SHA-256 of its exit
-code, stdout, stderr and the files it writes (tree JSON and point CSV).
+code, stdout, stderr and the files it writes (tree JSON, point CSV and
+verify report).
 `output_bytes.json` beside this module holds the exit code and digest
 of every run.
 
@@ -42,6 +43,27 @@ GRID_RANKS = ("0", "1", "2", "w", "w+1", "w*2")
 
 # a 2,200-digit natural: its square has more digits than Python prints
 LONG = "1" + "0" * 2199
+
+# the verify_corpus configs of perfbench/jobs.py:
+# (rank, p, children, depth, schedule, side)
+CORPUS = (
+    ("2", 2, 11, 2, "binary", "right"),
+    ("3", 1, 7, 3, "thirds", "left"),
+    ("3", 1, 12, 3, "binary", "right"),
+    ("4", 1, 6, 4, "binary", "left"),
+    ("4", 1, 4, 8, "thirds", "right"),
+    ("5", 2, 3, 5, "thirds", "left"),
+    ("5", 1, 4, 6, "binary", "right"),
+    ("w", 1, 4, 8, "thirds", "right"),
+    ("w", 1, 9, 3, "binary", "left"),
+    ("w", 1, 10, 3, "thirds", "right"),
+    ("w+1", 1, 3, 8, "binary", "left"),
+    ("w+1", 1, 4, 6, "thirds", "left"),
+    ("w*2", 1, 3, 8, "thirds", "right"),
+    ("w*2", 1, 5, 4, "binary", "right"),
+    ("w^(2)", 1, 4, 5, "thirds", "left"),
+    ("w^(2)", 2, 12, 2, "binary", "left"),
+)
 
 
 def _realized(rank: str) -> dict:
@@ -83,11 +105,17 @@ def _bad_files() -> dict[str, str]:
 
 
 def _forest_files() -> dict[str, str]:
-    """Forests whose geometry verdict hangs on a tree after the first."""
+    """Forests whose verdict hangs on a tree after the first."""
     second = [tree_to_obj(t) for t in realize_multi(parse_ordinal("2"), 2)]
     second[1]["children"][0]["children"][0]["center"] = "19/16"  # onto tree 1's root sphere
+    audit = [tree_to_obj(t) for t in realize_multi(parse_ordinal("2"), 2)]
+    audit[1]["children"][0]["rank"] = "3"  # rank 2's children have rank 1
     twice = _realized("w+1")
-    return {"sphere-second.json": json.dumps(second), "twice.json": json.dumps([twice, twice])}
+    return {
+        "sphere-second.json": json.dumps(second),
+        "audit-second.json": json.dumps(audit),
+        "twice.json": json.dumps([twice, twice]),
+    }
 
 
 def _runs() -> list[tuple[list[str], tuple[str, ...]]]:
@@ -111,6 +139,14 @@ def _runs() -> list[tuple[list[str], tuple[str, ...]]]:
         runs.append((["verify", f"forest/{name}"], ()))
     runs.append((["verify", "bad"], ()))
     runs.append((["verify", "last-holds-center.json"], ()))
+    runs.append((["verify", "grid/1-p1.json", "--report", "reports/one.json"], ("reports/one.json",)))
+    runs.append((["verify", "bad", "--report", "reports/dir.json"], ("reports/dir.json",)))
+    runs.append((["verify", "grid/1-p1.json", "--report", "nodir/r.json"], ("nodir/r.json",)))
+    for i, (rank, p, children, depth, schedule, side) in enumerate(CORPUS):
+        tree = f"corpus/c{i:02d}.json"
+        flags = ["-m", str(children), "--depth", str(depth), "--schedule", schedule, "--side", side]
+        runs.append((["realize", rank, "-p", str(p), "--out", tree, *flags], (tree, tree + ".points.csv")))
+        runs.append((["verify", tree, *flags], ()))
     runs += [
         ([], ()),
         (["frobnicate"], ()),
@@ -155,7 +191,7 @@ def _run(argv: list[str], writes: tuple[str, ...]) -> tuple[int, str, bool]:
 
 def replay(root: Path) -> dict[str, tuple[int, str, bool]]:
     """Every run, by its command line: exit code, digest, ended by argparse."""
-    for d in ("grid", "schedule", "bad", "forest"):
+    for d in ("grid", "schedule", "bad", "forest", "reports", "corpus"):
         (root / d).mkdir()
     for name, text in _bad_files().items():
         (root / "bad" / name).write_text(text)

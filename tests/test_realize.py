@@ -92,6 +92,20 @@ def test_schedules_strictly_decrease():
         assert radii[0] < 1
 
 
+@pytest.mark.parametrize("schedule", ["binary", "thirds"])
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_int_arguments_give_the_fraction_results(schedule, side):
+    cfg = RealizationConfig(radius_schedule=schedule, side_rule=side)
+    for n in range(3):
+        radius = scheduled_radius(cfg, 1, n)
+        assert type(radius) is Fraction and radius == scheduled_radius(cfg, F(1), n)
+        # each argument an int alone, then both
+        for z, r in ((-3, F(1, 2)), (F(5, 4), 2), (1, 3)):
+            got = child_geometry(cfg, z, r, n)
+            assert all(type(v) is Fraction for v in got)
+            assert got == child_geometry(cfg, F(z), F(r), n)
+
+
 def test_side_rule_left():
     cfg = RealizationConfig(side_rule="left")
     t = realize_cluster(0, 1, ONE, cfg)

@@ -36,6 +36,7 @@ from cbkit.oracle import audit_rank, char_by_pruning, prune, prune_forest
 from cbkit.realize import realize_multi
 import space_reference as reference
 from helpers import (
+    C,
     assert_survives_checks,
     random_char,
     shifted_forest,
@@ -45,12 +46,6 @@ from helpers import (
 )
 
 P = parse_ordinal
-
-
-def C(rank, count: int) -> CbChar:
-    if isinstance(rank, int):
-        rank = Ordinal.from_int(rank)
-    return CbChar(rank, count)
 
 
 # ---------------------------------------------------------------- fixed values
