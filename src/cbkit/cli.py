@@ -60,6 +60,7 @@ from .realize import (
     _check_node_budget,
     _outputs,
     _read_json,
+    _rooted,
     _write_forest,
     load_forest,
     materialize_forest,
@@ -189,17 +190,10 @@ def _verify_file(path: Path, strict: bool) -> dict:
     forest = load_forest(path, strict=strict)
     failures: list[str] = []
 
-    for i, tree in enumerate(forest):
-        try:
-            validate_tree(tree, cfg=None, expect_prefix=True)
-        except TreeInvariantError as exc:
-            failures.append(f"structure[{i}]: {exc}")
-    # a sound tree's points lie strictly inside its root ball, so the
-    # clusters are disjoint when those balls meet at most on their edges
-    roots = sorted((t.center - t.radius, i) for i, t in enumerate(forest) if t.radius > 0)
-    for (_, i), (left, j) in zip(roots, roots[1:]):
-        if left < forest[i].center + forest[i].radius:
-            failures.append(f"structure[{j}]: cluster ball overlaps tree {i}")
+    try:
+        validate_tree(forest)
+    except TreeInvariantError as exc:
+        failures.append(f"structure: {exc}")
 
     char_expected = None
     try:
@@ -220,12 +214,11 @@ def _verify_file(path: Path, strict: bool) -> dict:
 
     if not failures:
         # restriction identity only once the tree is structurally sound
-        for i, tree in enumerate(forest):
-            m = len(tree.children)
-            for n in range(min(4, m)):
+        for root, tree in _rooted(forest):
+            for n in range(min(4, len(tree.children))):
                 for beta in range(4):
                     if not restriction_check(tree, n, beta):
-                        failures.append(f"restriction[{i}]: annulus {n}, stage {beta}")
+                        failures.append(f"restriction: annulus {n}, stage {beta} at {root}")
 
     return _report(path, failures, geometry, char_expected, char_pruned)
 

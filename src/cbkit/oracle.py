@@ -51,7 +51,9 @@ from .realize import (
     SUCCESSOR,
     ClusterTree,
     TreeInvariantError,
+    _as_forest,
     _child_path,
+    _rooted,
     fraction_to_text,
     generator_for,
 )
@@ -93,24 +95,6 @@ class AnnulusIndexError(IndexError):
 
 class AuditError(ValueError):
     """A rank annotation disagrees with the construction rules."""
-
-
-def _as_forest(trees: ClusterTree | Iterable[ClusterTree]) -> tuple[ClusterTree, ...]:
-    if isinstance(trees, ClusterTree):
-        return (trees,)
-    forest = tuple(trees)
-    for t in forest:
-        if not isinstance(t, ClusterTree):
-            raise TypeError("expected cluster trees")
-    return forest
-
-
-def _rooted(trees: ClusterTree | Iterable[ClusterTree]) -> list[tuple[str, ClusterTree]]:
-    """Each tree with the path of its root: / alone, /k as tree k of several."""
-    forest = _as_forest(trees)
-    if len(forest) == 1:
-        return [("/", forest[0])]
-    return [(_child_path("/", k), t) for k, t in enumerate(forest)]
 
 
 # Writers of the per-tree memo slots, which the frozen __setattr__ refuses.

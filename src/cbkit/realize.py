@@ -170,6 +170,24 @@ def _child_path(parent: str, index: int) -> str:
     return ("" if parent == "/" else parent) + f"/{index}"
 
 
+def _as_forest(trees: ClusterTree | Iterable[ClusterTree]) -> tuple[ClusterTree, ...]:
+    if isinstance(trees, ClusterTree):
+        return (trees,)
+    forest = tuple(trees)
+    for t in forest:
+        if not isinstance(t, ClusterTree):
+            raise TypeError("expected cluster trees")
+    return forest
+
+
+def _rooted(trees: ClusterTree | Iterable[ClusterTree]) -> list[tuple[str, ClusterTree]]:
+    """Each tree with the path of its root: / alone, /k as tree k of several."""
+    forest = _as_forest(trees)
+    if len(forest) == 1:
+        return [("/", forest[0])]
+    return [(_child_path("/", k), t) for k, t in enumerate(forest)]
+
+
 def scheduled_radius(cfg: RealizationConfig, r: Fraction, n: int) -> Fraction:
     if not isinstance(r, Fraction):
         r = Fraction(r)
@@ -388,21 +406,33 @@ def materialize_forest(forest: Sequence[ClusterTree], depth_budget: int, width_b
 
 
 def validate_tree(
-    tree: ClusterTree,
+    tree: ClusterTree | Iterable[ClusterTree],
     cfg: RealizationConfig | None = None,
     expect_prefix: bool = True,
 ) -> None:
-    """Raise TreeInvariantError unless the tree is structurally sound.
+    """Raise TreeInvariantError unless the tree, or forest, is structurally sound.
 
     With a config the check is exact: child placement, radii and ranks must
     reproduce the construction.  Without one only the schedule-free
     invariants are enforced (nesting, disjointness, rank/tail coherence).
     Freshly realized trees satisfy expect_prefix; pruned trees may not,
     since their surviving children keep their original family indices.
+
+    A forest's trees are checked in order, tree k from its root /k (a lone
+    tree from /), then its root balls, which may meet only on their edges:
+    a sound tree lies strictly inside its ball.  The first failure is raised.
     """
-    if not _is_rational(tree):
-        raise TreeInvariantError("non-rational geometry at /")
-    _validate(tree, "/", set(), cfg, expect_prefix)
+    rooted = _rooted(tree)
+    for root, t in rooted:
+        if not _is_rational(t):
+            raise TreeInvariantError(f"non-rational geometry at {root}")
+        _validate(t, root, set(), cfg, expect_prefix)
+    # each ball against the one whose left edge comes just before it; the
+    # tree index breaks ties, since "/10" < "/2" as text
+    balls = sorted((t.center - t.radius, k, root, t.center + t.radius) for k, (root, t) in enumerate(rooted))
+    for (_, _, before, right), (left, _, root, _) in zip(balls, balls[1:]):
+        if left < right:
+            raise TreeInvariantError(f"cluster ball overlaps {before} at {root}")
 
 
 def _validate(

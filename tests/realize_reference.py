@@ -5,6 +5,11 @@ scale of their own denominators; this copy subtracts, adds and compares the
 `Fraction`s themselves, and keys the duplicate-center set by `Fraction`.
 The differential tests require the same outcome from both: no error, or
 the same first `TreeInvariantError` message.
+
+`validate_forest` is the forest check `cbkit verify` once ran itself:
+each tree from its own root, then each root ball against the one whose
+left edge comes just before it.  `cbkit.realize.validate_tree` reads a
+forest in one call instead.
 """
 
 from __future__ import annotations
@@ -35,6 +40,31 @@ def validate_tree(
     Freshly realized trees satisfy expect_prefix; pruned trees may not,
     since their surviving children keep their original family indices.
     """
+    _validate_from(tree, "/", cfg, expect_prefix)
+
+
+def validate_forest(forest: list[ClusterTree]) -> None:
+    """Raise the first TreeInvariantError of a forest's trees, then of its root balls.
+
+    Tree k is checked from its root /k, a lone tree from /.
+    """
+    paths = ["/"] if len(forest) == 1 else [f"/{k}" for k in range(len(forest))]
+    for tree, path in zip(forest, paths):
+        _validate_from(tree, path, None, True)
+    # a sound tree's points lie strictly inside its root ball, so the
+    # clusters are disjoint when those balls meet at most on their edges
+    roots = sorted((t.center - t.radius, i) for i, t in enumerate(forest) if t.radius > 0)
+    for (_, i), (left, j) in zip(roots, roots[1:]):
+        if left < forest[i].center + forest[i].radius:
+            raise TreeInvariantError(f"cluster ball overlaps {paths[i]} at {paths[j]}")
+
+
+def _validate_from(
+    tree: ClusterTree,
+    root: str,
+    cfg: RealizationConfig | None,
+    expect_prefix: bool,
+) -> None:
     seen: set[Fraction] = set()
 
     def visit(node: ClusterTree, path: str) -> None:
@@ -80,4 +110,4 @@ def validate_tree(
                     raise TreeInvariantError(f"child rank off the recursion at {here}")
             visit(child, here)
 
-    visit(tree, "/")
+    visit(tree, root)

@@ -342,7 +342,7 @@ def test_verify_wrong_tail_generator(capsys, tmp_path):
     report = json.loads(report_text)
     assert code == 1
     assert report["ok"] is False
-    assert any(f.startswith("structure[0]: tail generator disagrees") for f in report["failures"])
+    assert any(f.startswith("structure: tail generator disagrees") for f in report["failures"])
     assert any(f.startswith("pruning: tail generator disagrees") for f in report["failures"])
 
 
@@ -356,7 +356,7 @@ def test_verify_forest_of_one_tree_twice(capsys, tmp_path):
     code, report_text, _ = run(capsys, "verify", str(out))
     report = json.loads(report_text)
     assert code == 1
-    assert report["failures"] == ["structure[1]: cluster ball overlaps tree 0"]
+    assert report["failures"] == ["structure: cluster ball overlaps /0 at /1"]
 
 
 def test_verify_forest_of_touching_clusters(capsys, tmp_path):
@@ -371,9 +371,9 @@ def test_verify_forest_of_touching_clusters(capsys, tmp_path):
     "centers, failures",
     [
         (["0", "1"], []),
-        (["0", "0"], ["structure[1]: cluster ball overlaps tree 0"]),
-        (["0", "9/10"], ["structure[1]: cluster ball overlaps tree 0"]),
-        (["5", "0", "1/2"], ["structure[2]: cluster ball overlaps tree 1"]),
+        (["0", "0"], ["structure: cluster ball overlaps /0 at /1"]),
+        (["0", "9/10"], ["structure: cluster ball overlaps /0 at /1"]),
+        (["5", "0", "1/2"], ["structure: cluster ball overlaps /1 at /2"]),
     ],
     ids=["touching", "one-center", "overlapping", "unsorted"],
 )
@@ -823,8 +823,8 @@ def test_verify_fails_a_last_child_whose_ball_holds_the_center(capsys, tmp_path)
     assert report["geometry"]["ok"] is True
     assert report["char_expected"] == report["char_pruned"] == {"rank": "1", "count": 1}
     assert report["failures"] == [
-        "restriction[0]: annulus 0, stage 0",
-        "restriction[0]: annulus 0, stage 1",
+        "restriction: annulus 0, stage 0 at /",
+        "restriction: annulus 0, stage 1 at /",
     ]
 
 

@@ -1,4 +1,8 @@
-"""The geometry and restriction oracles against their plain-`Fraction` readings."""
+"""The geometry and restriction oracles against their plain-`Fraction` readings.
+
+A forest's structure check is compared here too, since this module's
+mutations move centers only.
+"""
 
 from __future__ import annotations
 
@@ -11,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle_reference as reference
+import realize_reference
 from cbkit.ordinal import ONE, ZERO, parse_ordinal
 from cbkit.realize import (
     MAX_TREE_DEPTH,
@@ -22,6 +27,7 @@ from cbkit.realize import (
     generator_for,
     realize_cluster,
     tree_from_obj,
+    validate_tree,
 )
 from cbkit.oracle import (
     audit_char,
@@ -121,6 +127,38 @@ def test_forest_geometry_merges_its_trees(cfg, ranks, offsets, kinds, data):
     with pytest.raises(TypeError) as info:
         geometry_check([*forest[:at], "not a tree", *forest[at:]])
     assert str(info.value) == "expected cluster trees"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cfg=st_config,
+    size=st.sampled_from((0, 1, 2, 3)),
+    ranks=st.lists(st.sampled_from(RANKS), min_size=3, max_size=3),
+    offsets=st.lists(st.integers(-1, 1), min_size=3, max_size=3),
+    kinds=st.lists(st.sampled_from((None, *MUTATIONS)), min_size=3, max_size=3),
+    data=st.data(),
+)
+@example(
+    # sound trees whose balls meet on one center, past a pair that touches
+    cfg=RealizationConfig(),
+    size=3,
+    ranks=["1", "1", "1"],
+    offsets=[1, 0, 1],
+    kinds=[None, None, None],
+    data=FixedDraws(),
+)
+def test_forest_structure_matches_the_per_tree_checks(cfg, size, ranks, offsets, kinds, data):
+    # a repeated offset puts two root balls on one center, and a moved
+    # root can overlap its neighbour by part of a ball
+    forest = [
+        realize_cluster(Fraction(offset), Fraction(1, 2), parse_ordinal(rank), cfg)
+        for rank, offset in zip(ranks[:size], offsets)
+    ]
+    forest = [t if kind is None else mutate(t, kind, data) for t, kind in zip(forest, kinds)]
+
+    assert outcome(validate_tree, forest) == outcome(realize_reference.validate_forest, forest)
+    for t in forest:
+        assert outcome(validate_tree, t) == outcome(validate_tree, [t])
 
 
 PRUNE_RANKS = RANKS + ("4", "w+2", "w^(w)+1", "w^(w+1)", "w^(w^(2))")

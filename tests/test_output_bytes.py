@@ -105,16 +105,28 @@ def _bad_files() -> dict[str, str]:
 
 
 def _forest_files() -> dict[str, str]:
-    """Forests whose verdict hangs on a tree after the first."""
+    """Forests whose verdict hangs on a tree after the first or on two trees, and the empty forest."""
     second = [tree_to_obj(t) for t in realize_multi(parse_ordinal("2"), 2)]
     second[1]["children"][0]["children"][0]["center"] = "19/16"  # onto tree 1's root sphere
     audit = [tree_to_obj(t) for t in realize_multi(parse_ordinal("2"), 2)]
     audit[1]["children"][0]["rank"] = "3"  # rank 2's children have rank 1
     twice = _realized("w+1")
+    both = [tree_to_obj(t) for t in realize_multi(parse_ordinal("2"), 2)]
+    both[0]["children"][0]["children"][0]["center"] = "3/16"  # onto tree 0's root sphere
+    both[1]["children"][0]["children"][0]["center"] = "19/16"  # onto tree 1's root sphere
+    shifted = [tree_to_obj(t) for t in realize_multi(parse_ordinal("2"), 2)]
+    shifted[1]["center"] = "1/2"  # its children escape, and its ball meets tree 0's
+    # every center shifted by 3: tree 1 passes every oracle but the restriction identity
+    leaf = LAST_HOLDS_CENTER["children"][0]
+    holds_center = {**LAST_HOLDS_CENTER, "center": "3/1", "children": [{**leaf, "center": "13/4"}]}
     return {
         "sphere-second.json": json.dumps(second),
         "audit-second.json": json.dumps(audit),
         "twice.json": json.dumps([twice, twice]),
+        "both-bad.json": json.dumps(both),
+        "shifted.json": json.dumps(shifted),
+        "restriction-second.json": json.dumps([_realized("1"), holds_center]),
+        "empty.json": "[]",
     }
 
 

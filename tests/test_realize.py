@@ -41,7 +41,7 @@ from cbkit.realize import (
 )
 from cbkit import realize as realize_module
 from cbkit.oracle import char_by_pruning
-from helpers import chain_obj
+from helpers import chain_obj, outcome
 
 P = parse_ordinal
 F = Fraction
@@ -295,6 +295,24 @@ def test_validate_rejects_overlapping_siblings():
     kids[1] = replace(kids[1], radius=F(1, 4))  # swallows its neighbour
     with pytest.raises(TreeInvariantError):
         validate_tree(replace(t, children=tuple(kids)))
+
+
+def test_validate_tree_reads_a_forest():
+    t = realize_cluster(0, 1, ONE)
+    for tree in (t, replace(t, radius=F(-1))):
+        assert outcome(validate_tree, tree) == outcome(validate_tree, [tree])
+    assert validate_tree(tree=t) is None
+    with pytest.raises(TypeError, match=r"^expected cluster trees$"):
+        validate_tree([t, 1])
+    assert validate_tree(()) is None
+
+
+def test_validate_tree_orders_root_balls_by_tree_index():
+    # as text "/10" < "/2", so a sort by path would name /10 first
+    forest = [ClusterTree(F(c), F(1, 2), ZERO) for c in range(12)]
+    forest[10] = ClusterTree(F(2), F(1, 2), ZERO)
+    with pytest.raises(TreeInvariantError, match=r"^cluster ball overlaps /2 at /10$"):
+        validate_tree(forest)
 
 
 def test_validate_grid_sample():
