@@ -43,7 +43,6 @@ __all__ = [
     "TailSpec",
     "ClusterTree",
     "PointCloud",
-    "scheduled_radius",
     "child_geometry",
     "generator_for",
     "child_rank",
@@ -186,13 +185,6 @@ def _rooted(trees: ClusterTree | Iterable[ClusterTree]) -> list[tuple[str, Clust
     if len(forest) == 1:
         return [("/", forest[0])]
     return [(_child_path("/", k), t) for k, t in enumerate(forest)]
-
-
-def scheduled_radius(cfg: RealizationConfig, r: Fraction, n: int) -> Fraction:
-    if not isinstance(r, Fraction):
-        r = Fraction(r)
-    base = SCHEDULE_BASES[cfg.radius_schedule]
-    return Fraction(r.numerator, r.denominator * base ** (n + 1))
 
 
 def child_geometry(cfg: RealizationConfig, z: Fraction, r: Fraction, n: int) -> tuple[Fraction, Fraction]:
@@ -400,21 +392,17 @@ def materialize(tree: ClusterTree, depth_budget: int, width_budget: int) -> Poin
     return _cloud([("/", tree)], depth_budget, width_budget)
 
 
-def materialize_forest(forest: Sequence[ClusterTree], depth_budget: int, width_budget: int) -> PointCloud:
-    """Merged cloud of a forest; cluster k is rooted at path /k."""
-    return _cloud(((_child_path("/", k), tree) for k, tree in enumerate(forest)), depth_budget, width_budget)
+def materialize_forest(forest: ClusterTree | Iterable[ClusterTree], depth_budget: int, width_budget: int) -> PointCloud:
+    """Merged cloud of a forest; cluster k is rooted at path /k, even a lone tree at /0."""
+    rooted = [(_child_path("/", k), tree) for k, tree in enumerate(_as_forest(forest))]
+    return _cloud(rooted, depth_budget, width_budget)
 
 
-def validate_tree(
-    tree: ClusterTree | Iterable[ClusterTree],
-    cfg: RealizationConfig | None = None,
-    expect_prefix: bool = True,
-) -> None:
+def validate_tree(tree: ClusterTree | Iterable[ClusterTree], expect_prefix: bool = True) -> None:
     """Raise TreeInvariantError unless the tree, or forest, is structurally sound.
 
-    With a config the check is exact: child placement, radii and ranks must
-    reproduce the construction.  Without one only the schedule-free
-    invariants are enforced (nesting, disjointness, rank/tail coherence).
+    The invariants are schedule-free: nesting, disjointness and rank/tail
+    coherence, so any sound cluster tree passes, however it was built.
     Freshly realized trees satisfy expect_prefix; pruned trees may not,
     since their surviving children keep their original family indices.
 
@@ -426,7 +414,7 @@ def validate_tree(
     for root, t in rooted:
         if not _is_rational(t):
             raise TreeInvariantError(f"non-rational geometry at {root}")
-        _validate(t, root, set(), cfg, expect_prefix)
+        _validate(t, root, set(), expect_prefix)
     # each ball against the one whose left edge comes just before it; the
     # tree index breaks ties, since "/10" < "/2" as text
     balls = sorted((t.center - t.radius, k, root, t.center + t.radius) for k, (root, t) in enumerate(rooted))
@@ -435,13 +423,7 @@ def validate_tree(
             raise TreeInvariantError(f"cluster ball overlaps {before} at {root}")
 
 
-def _validate(
-    node: ClusterTree,
-    path: str,
-    seen: set[tuple[int, int]],
-    cfg: RealizationConfig | None,
-    expect_prefix: bool,
-) -> None:
+def _validate(node: ClusterTree, path: str, seen: set[tuple[int, int]], expect_prefix: bool) -> None:
     """validate_tree's walk.
 
     seen holds the centers met so far as (numerator, denominator), which is
@@ -501,13 +483,7 @@ def _validate(
                 raise TreeInvariantError(f"child ball dips below the next offset at {here}")
             if abs(next_c - c) < r + next_r:
                 raise TreeInvariantError(f"sibling balls overlap at {here}")
-        if cfg is not None:
-            x, eps = child_geometry(cfg, z, node.radius, i)
-            if child.center != x or child.radius != eps:
-                raise TreeInvariantError(f"child geometry off the schedule at {here}")
-            if child.rank != child_rank(node.rank, node.tail.generator, i):
-                raise TreeInvariantError(f"child rank off the recursion at {here}")
-        _validate(child, here, seen, cfg, expect_prefix)
+        _validate(child, here, seen, expect_prefix)
 
 
 def _is_rational(node: ClusterTree) -> bool:

@@ -6,6 +6,11 @@ scale of their own denominators; this copy subtracts, adds and compares the
 The differential tests require the same outcome from both: no error, or
 the same first `TreeInvariantError` message.
 
+With a config this copy also checks a tree against the construction:
+child placement, radii and ranks.  The tests judge realize's own output
+against the schedule through it; `cbkit.realize.validate_tree` checks
+the schedule-free invariants only.
+
 `validate_forest` is the forest check `cbkit verify` once ran itself:
 each tree from its own root, then each root ball against the one whose
 left edge comes just before it.  `cbkit.realize.validate_tree` reads a

@@ -23,9 +23,9 @@ from cbkit.realize import (
     SCHEDULE_BASES,
     TailSpec,
     TreeInvariantError,
+    child_geometry,
     realize_cluster,
     realize_multi,
-    scheduled_radius,
     tree_to_obj,
     validate_tree,
 )
@@ -388,7 +388,7 @@ def test_ball_inner_edges_are_the_schedule_midpoints(children, schedule, side, r
         for i, c in enumerate(kids[:-1]):
             assert dist[i] - c.radius == (dist[i] + dist[i + 1]) / 2
         if kids:
-            nxt = scheduled_radius(cfg, node.radius, len(kids))
+            nxt = abs(child_geometry(cfg, z, node.radius, len(kids))[0] - z)
             assert dist[-1] - kids[-1].radius == (dist[-1] + nxt) / 2
 
 

@@ -96,11 +96,13 @@ def test_oracles_match_reference(cfg, rank, offset, kinds, data):
 @settings(max_examples=60, deadline=None)
 @given(
     cfg=st_config,
-    ranks=st.lists(st.sampled_from(RANKS), max_size=3),
+    ranks=st.lists(st.sampled_from(RANKS), min_size=1, max_size=3),
     offsets=st.lists(st.integers(-3, 3), min_size=3, max_size=3, unique=True),
     kinds=st.lists(st.sampled_from((None, *MUTATIONS)), min_size=3, max_size=3),
     data=st.data(),
 )
+# the empty forest once, so the draws go to forests of one to three trees
+@example(cfg=RealizationConfig(), ranks=[], offsets=[0, 1, 2], kinds=[None, None, None], data=FixedDraws(at=0))
 @example(
     # both trees break a claim, so only the first tree's counterexample is right
     cfg=RealizationConfig(),
@@ -132,11 +134,20 @@ def test_forest_geometry_merges_its_trees(cfg, ranks, offsets, kinds, data):
 @settings(max_examples=60, deadline=None)
 @given(
     cfg=st_config,
-    size=st.sampled_from((0, 1, 2, 3)),
+    size=st.integers(1, 3),
     ranks=st.lists(st.sampled_from(RANKS), min_size=3, max_size=3),
     offsets=st.lists(st.integers(-1, 1), min_size=3, max_size=3),
     kinds=st.lists(st.sampled_from((None, *MUTATIONS)), min_size=3, max_size=3),
     data=st.data(),
+)
+# the empty forest once, so the draws go to forests of one to three trees
+@example(
+    cfg=RealizationConfig(),
+    size=0,
+    ranks=["1", "1", "1"],
+    offsets=[0, 1, 0],
+    kinds=[None, None, None],
+    data=FixedDraws(),
 )
 @example(
     # sound trees whose balls meet on one center, past a pair that touches

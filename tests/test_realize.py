@@ -33,7 +33,6 @@ from cbkit.realize import (
     parse_config_file,
     realize_cluster,
     realize_multi,
-    scheduled_radius,
     tree_from_json,
     tree_from_obj,
     tree_to_json,
@@ -42,6 +41,7 @@ from cbkit.realize import (
 from cbkit import realize as realize_module
 from cbkit.oracle import char_by_pruning
 from helpers import chain_obj, outcome
+import realize_reference
 
 P = parse_ordinal
 F = Fraction
@@ -87,7 +87,7 @@ def test_epsilon_formula():
 def test_schedules_strictly_decrease():
     for name in ("binary", "thirds"):
         cfg = RealizationConfig(radius_schedule=name)
-        radii = [scheduled_radius(cfg, F(1), n) for n in range(8)]
+        radii = [abs(child_geometry(cfg, F(0), F(1), n)[0]) for n in range(8)]
         assert all(a > b > 0 for a, b in zip(radii, radii[1:]))
         assert radii[0] < 1
 
@@ -97,10 +97,8 @@ def test_schedules_strictly_decrease():
 def test_int_arguments_give_the_fraction_results(schedule, side):
     cfg = RealizationConfig(radius_schedule=schedule, side_rule=side)
     for n in range(3):
-        radius = scheduled_radius(cfg, 1, n)
-        assert type(radius) is Fraction and radius == scheduled_radius(cfg, F(1), n)
         # each argument an int alone, then both
-        for z, r in ((-3, F(1, 2)), (F(5, 4), 2), (1, 3)):
+        for z, r in ((-3, F(1, 2)), (F(5, 4), 2), (1, 3), (0, 1)):
             got = child_geometry(cfg, z, r, n)
             assert all(type(v) is Fraction for v in got)
             assert got == child_geometry(cfg, F(z), F(r), n)
@@ -110,7 +108,7 @@ def test_side_rule_left():
     cfg = RealizationConfig(side_rule="left")
     t = realize_cluster(0, 1, ONE, cfg)
     assert all(c.center < 0 for c in t.children)
-    validate_tree(t, cfg=cfg)
+    realize_reference.validate_tree(t, cfg)
 
 
 def test_realize_multi_base():
@@ -152,7 +150,7 @@ def test_depth_budget_leaves_promises():
     assert len(t.children) == 4
     for c in t.children:
         assert c.children == () and c.tail == TailSpec(0, "limit")
-    validate_tree(t, cfg=cfg)
+    realize_reference.validate_tree(t, cfg)
 
 
 def test_invalid_inputs():
@@ -211,6 +209,11 @@ def test_materialize_forest_paths():
     assert cloud.provenance[F(1)] == "/1"
     assert cloud.provenance[F(1, 4)] == "/0/0"
     assert list(cloud.points) == sorted(cloud.points)
+    # a lone tree is a forest of one, so the CSV roots it at /0 too
+    lone = materialize_forest(forest[0], 2, 2)
+    assert lone == materialize_forest(forest[:1], 2, 2) and lone.provenance[F(0)] == "/0"
+    with pytest.raises(TypeError, match=r"^expected cluster trees$"):
+        materialize_forest([forest[0], 1], 1, 1)
 
 
 def test_point_cloud_csv():
@@ -240,7 +243,7 @@ def test_extend_children_keeps_invariants():
     assert len(wider.children) == 7
     assert wider.tail == TailSpec(7, "limit")
     assert [c.rank for c in wider.children] == [Ordinal.from_int(n + 1) for n in range(7)]
-    validate_tree(wider, cfg=DEFAULT_CONFIG)
+    realize_reference.validate_tree(wider, DEFAULT_CONFIG)
 
 
 def test_extend_children_on_leaf_rejected():
@@ -278,15 +281,15 @@ def test_validate_rejects_corruptions():
     with pytest.raises(TreeInvariantError):
         validate_tree(replace(t, tail=TailSpec(4, "limit")))
 
-    # off-schedule geometry is only caught with the config; shifting a
-    # leaf keeps the schedule-free invariants intact
+    # the invariants are schedule-free: shifting a leaf off the schedule
+    # keeps them intact, and only the tests' exact reading objects
     t1 = realize_cluster(0, 1, ONE)
     kids = list(t1.children)
     kids[3] = replace(kids[3], center=F(1, 20))
     shifted = replace(t1, children=tuple(kids))
     validate_tree(shifted)
-    with pytest.raises(TreeInvariantError):
-        validate_tree(shifted, cfg=DEFAULT_CONFIG)
+    with pytest.raises(TreeInvariantError, match=r"^child geometry off the schedule at /3$"):
+        realize_reference.validate_tree(shifted, DEFAULT_CONFIG)
 
 
 def test_validate_rejects_overlapping_siblings():
@@ -318,7 +321,7 @@ def test_validate_tree_orders_root_balls_by_tree_index():
 def test_validate_grid_sample():
     for text in ("1", "3", "w", "w*2", "w^(2)", "w^(w)"):
         for t in realize_multi(P(text), 2):
-            validate_tree(t, cfg=DEFAULT_CONFIG)
+            realize_reference.validate_tree(t, DEFAULT_CONFIG)
 
 
 # -------------------------------------------------------------- serialization
@@ -461,7 +464,7 @@ def test_tree_pickle_bytes_are_stable(protocol):
     t = realize_cluster(0, 1, ONE, RealizationConfig(children_per_node=2))
     loaded = pickle.loads(PICKLED_TREE[protocol])
     assert loaded == t and tree_to_json(loaded) == tree_to_json(t)
-    validate_tree(loaded, cfg=RealizationConfig(children_per_node=2))
+    realize_reference.validate_tree(loaded, RealizationConfig(children_per_node=2))
     assert pickle.dumps(t, protocol) == PICKLED_TREE[protocol]
 
 
@@ -609,8 +612,12 @@ def test_validate_rejects_child_below_next_offset():
 
 
 def test_validate_rejects_child_rank_off_the_recursion():
+    # validate_tree never compares a child's rank with its parent's, so
+    # only the tests' exact reading objects
     t = realize_cluster(0, 1, Ordinal.from_int(3))
     kids = list(t.children)
     kids[0] = replace(kids[0], rank=ONE)
+    strayed = replace(t, children=tuple(kids))
+    validate_tree(strayed)
     with pytest.raises(TreeInvariantError, match=r"^child rank off the recursion at /0$"):
-        validate_tree(replace(t, children=tuple(kids)), cfg=DEFAULT_CONFIG)
+        realize_reference.validate_tree(strayed, DEFAULT_CONFIG)

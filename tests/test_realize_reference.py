@@ -78,18 +78,14 @@ def mutate(tree: ClusterTree, kind: str, data: st.DataObject) -> ClusterTree:
     offset=st.integers(-2, 2),
     radius=st.sampled_from((Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(7))),
     kinds=st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=2),
-    with_cfg=st.booleans(),
     expect_prefix=st.booleans(),
     data=st.data(),
 )
-def test_validate_tree_matches_reference(cfg, rank, offset, radius, kinds, with_cfg, expect_prefix, data):
+def test_validate_tree_matches_reference(cfg, rank, offset, radius, kinds, expect_prefix, data):
     tree = realize_cluster(Fraction(offset), radius, parse_ordinal(rank), cfg)
     for kind in kinds:
         tree = mutate(tree, kind, data)
-    given_cfg = cfg if with_cfg else None
-    assert outcome(validate_tree, tree, given_cfg, expect_prefix) == outcome(
-        reference.validate_tree, tree, given_cfg, expect_prefix
-    )
+    assert outcome(validate_tree, tree, expect_prefix) == outcome(reference.validate_tree, tree, None, expect_prefix)
 
 
 def test_non_fraction_child_reported_before_comparisons():
