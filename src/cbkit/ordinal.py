@@ -152,8 +152,13 @@ class Ordinal:
 
     @classmethod
     def from_int(cls, n: int) -> "Ordinal":
+        """The finite ordinal n.
+
+        Below 256 this is the one shared object of that value, which the
+        parser returns too; above, a new value.
+        """
         _require_natural(n, "n")
-        return cls._from_normal(((ZERO, n),) if n else ())
+        return _FINITE[n] if n < len(_FINITE) else cls._from_normal(((ZERO, n),))
 
     @property
     def is_zero(self) -> bool:
@@ -370,6 +375,13 @@ def fundamental_seq(lam: Ordinal | int, n: int) -> Ordinal:
 ZERO = Ordinal()
 ONE = Ordinal(((ZERO, 1),))
 OMEGA = Ordinal(((ONE, 1),))
+# The finite ordinals 0..255, one object each, as CPython shares its small
+# ints.  Ordinals enter the layer through Ordinal.from_int and the parser,
+# which hand these out, so the small naturals that fill exponents and
+# census ranks are held once and pass the order's identity test.  Values
+# the operations derive are built new: a realized tree's pickle bytes
+# depend on which of its ordinals are one object.
+_FINITE = (ZERO, ONE) + tuple(Ordinal._from_normal(((ZERO, n),)) for n in range(2, 256))
 
 
 # Deepest exponent nesting the parser accepts.  Comparison, formatting and
@@ -461,6 +473,8 @@ class _Parser:
                 elif _order(exponent.terms, previous.terms) >= 0:
                     fault = (start, "terms not strictly decreasing")
         if fault is None:
+            if len(terms) == 1 and not exponent.terms:
+                return Ordinal.from_int(coefficient), i
             return Ordinal._from_normal(tuple(terms)), i
         if len(terms) == 1 and tokens[start] != "w":  # the number 0
             return ZERO, i
@@ -470,7 +484,7 @@ class _Parser:
         for exponent, coefficient in terms:
             if coefficient:
                 total = add(total, Ordinal._from_normal(((exponent, coefficient),)))
-        return total, i
+        return (Ordinal.from_int(int(total)) if total.is_finite else total), i
 
     def parse(self) -> Ordinal:
         value, i = self._expr(0)

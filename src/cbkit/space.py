@@ -157,7 +157,7 @@ def census(
     out = [EMPTY_CLASS]
     counts = range(1, count_bound + 1)
     for r in range(n_ranks):
-        rank = Ordinal._from_normal(((ZERO, r),) if r else ())
+        rank = Ordinal.from_int(r)
         # each pair built in place, as _from_normal builds it: a call per
         # pair took about a fifth of the census's time
         for c in counts:

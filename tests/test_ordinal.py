@@ -36,6 +36,7 @@ from cbkit.ordinal import (
     omega_pow,
     parse_ordinal,
 )
+from cbkit.space import census
 from cnf_reference import tadd, tcmp, tmul
 from helpers import (
     assert_survives_checks,
@@ -438,7 +439,9 @@ def test_order_at_the_deepest_nesting():
 @settings(max_examples=200, deadline=None)
 @given(st_nested_ordinal)
 def test_hash_keeps_its_value_and_is_computed_once(a):
-    fresh = parse_ordinal(format_ordinal(a))  # equal, and shares no term object
+    # equal, and shares no term object: the parser would hand back a's own
+    # finite ordinals below 256
+    fresh = copy.deepcopy(a)
     unhashed = pickle.dumps(fresh)
     value = hash(a)
     assert value == hash(reference.ParentHash(a)) == hash(fresh)
@@ -513,6 +516,49 @@ def test_eq_operands():
     assert a == a and a == P("w+1") and a != P("w")
     assert Ordinal.from_int(3) == 3 and 3 == Ordinal.from_int(3)
     assert a != "w+1" and a != 1.0 and ZERO != False  # noqa: E712
+
+
+# ------------------------------------------------ shared small finite ordinals
+
+
+def test_small_finite_ordinals_are_shared():
+    for n in (0, 1, 2, 255):
+        assert Ordinal.from_int(n) is Ordinal.from_int(n)
+    assert Ordinal.from_int(0) is ZERO and Ordinal.from_int(1) is ONE
+    for text, n in (("7", 7), (" 7 ", 7), ("1+2", 3), ("0+7", 7)):
+        assert P(text) is Ordinal.from_int(n)
+    # exponents are read as ordinals too
+    assert P("w^(5)*3+w^(1+1)").terms[1][0] is Ordinal.from_int(2)
+    # 256 and above are new values
+    big = Ordinal.from_int(256)
+    assert big == Ordinal.from_int(256) and big is not Ordinal.from_int(256)
+    assert P("256") == big and P("256") is not P("256")
+    for c in census(3, 2):
+        assert c.rank is Ordinal.from_int(int(c.rank))
+
+
+@given(st.integers(min_value=0, max_value=600))
+def test_shared_finite_ordinals_match_checked_values(n):
+    a = Ordinal.from_int(n)
+    checked = Ordinal(((ZERO, n),)) if n else Ordinal()
+    assert a == checked and hash(a) == hash(checked) == hash(n)
+    assert format_ordinal(a) == format_ordinal(checked) == str(n)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        data = pickle.dumps(a, protocol)
+        assert data == pickle.dumps(checked, protocol)
+        loaded = pickle.loads(data)
+        assert loaded == a and hash(loaded) == hash(n)
+
+
+def test_value_holding_a_shared_ordinal_twice_pickles():
+    a = P("w^(w^(3))+w^(3)")
+    three = a.terms[1][0]
+    assert a.terms[0][0].terms[0][0] is three is Ordinal.from_int(3)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        loaded = pickle.loads(pickle.dumps(a, protocol))
+        assert loaded == a and format_ordinal(loaded) == "w^(w^(3))+w^(3)"
+        assert loaded.terms[0][0].terms[0][0] is loaded.terms[1][0]
+        assert_survives_checks(loaded)
 
 
 # ------------------------------------------------ values built without checks
